@@ -26,11 +26,7 @@ oracles (``evaluate_backtracking`` / ``evaluate_naive``), same pattern as
 :mod:`repro.core.baseline`.
 """
 
-from repro.plan.analyze import (
-    analyze_plan,
-    explain_analyze,
-    explain_analyze_worlds,
-)
+from repro.plan.analyze import explain_analyze, explain_analyze_worlds
 from repro.plan.cache import (
     plan_cache_stats,
     plan_cache_stats_dict,
@@ -72,7 +68,6 @@ __all__ = [
     "PlanError",
     "PlanFeedback",
     "TableStatistics",
-    "analyze_plan",
     "cached_statistics",
     "choose_join_order",
     "clear_data_sources",

@@ -1,147 +1,40 @@
 """EXPLAIN ANALYZE: measured per-operator cardinalities next to estimates.
 
-The hot interpreter (:func:`repro.plan.executor._run`) stays uninstrumented;
-this module keeps a parallel interpreter that mirrors its semantics exactly
-(including the ``prefer_scan_probe`` strategy choice and the per-source
-operator caches) while recording each operator's actual output cardinality.
-The annotated tree then renders every plan line as::
+The measurements come from the one plan interpreter,
+:func:`repro.plan.executor.execute_plan`, run with a per-node row-count
+sink; this module only renders them. Every plan line reads::
 
     hash-join [left.col0 = right.col0]  (est=310 actual=288 rows)
+
+An operator that did not run carries no ``actual=``: a hash join whose
+probe side is empty never reads its build side.
 
 Two entry points match the two CLI surfaces: :func:`explain_analyze` runs a
 query over one database; :func:`explain_analyze_worlds` aggregates the same
 measurements over an iterable of possible worlds (the ``answer`` command's
 setting, where a query never runs over just one database).
 
-Analyzed executions feed the same runtime-feedback loop as normal ones
-(:func:`repro.plan.executor.record_feedback`), so EXPLAIN ANALYZE is an
-observation point, not a fork of the adaptive behavior.
+Analyzed executions are ordinary executions, so they feed the same
+runtime-feedback loop (:func:`repro.plan.executor.record_feedback`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable
 
 from repro.plan.executor import (
-    PlanDataSource,
-    _build_index,
-    _scan_probe_join,
+    Actuals,
     data_source_for,
+    execute_plan,
     format_est,
-    record_feedback,
 )
-from repro.plan.ir import (
-    CompiledPlan,
-    FilterNode,
-    HashJoinNode,
-    PlanError,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    UnionPlanNode,
-    UnitNode,
-)
-
-#: Per-plan-node actual row counts, keyed by node identity (``id(node)``).
-Actuals = Dict[int, int]
+from repro.plan.ir import CompiledPlan, PlanNode
 
 
-def _run_measured(
-    node: PlanNode, source: PlanDataSource, actuals: Actuals
-) -> Sequence[Tuple[int, ...]]:
-    """Evaluate *node* and fold its output cardinality into *actuals*."""
-    rows = _eval_measured(node, source, actuals)
-    actuals[id(node)] = actuals.get(id(node), 0) + len(rows)
-    return rows
-
-
-def _eval_measured(
-    node: PlanNode, source: PlanDataSource, actuals: Actuals
-) -> Sequence[Tuple[int, ...]]:
-    node_type = type(node)
-    if node_type is ScanNode:
-        return source.scan_rows(node)
-    if node_type is HashJoinNode:
-        left_rows = _run_measured(node.left, source, actuals)
-        right = node.right
-        if type(right) is ScanNode:
-            # Measure the build side even when the probe side came up empty
-            # (the hot path would short-circuit; the diagnostic should not).
-            right_rows = source.scan_rows(right)
-            actuals[id(right)] = actuals.get(id(right), 0) + len(right_rows)
-            if (
-                node.prefer_scan_probe
-                and source.cached_index(right, node.right_keys) is None
-            ):
-                return _scan_probe_join(node, left_rows, source)
-            index = source.join_index(right, node.right_keys)
-        else:
-            index = _build_index(
-                _run_measured(right, source, actuals), node.right_keys
-            )
-        left_keys = node.left_keys
-        out: List[Tuple[int, ...]] = []
-        if left_keys:
-            get = index.get
-            for lrow in left_rows:
-                matches = get(tuple(lrow[c] for c in left_keys))
-                if matches:
-                    for rrow in matches:
-                        out.append(lrow + rrow)
-        else:
-            right_rows = index.get((), ())
-            for lrow in left_rows:
-                for rrow in right_rows:
-                    out.append(lrow + rrow)
-        return out
-    if node_type is FilterNode:
-        predicate = node.predicate
-        table = source.table
-        return [
-            row
-            for row in _run_measured(node.child, source, actuals)
-            if predicate.evaluate(row, table)
-        ]
-    if node_type is ProjectNode:
-        columns = node.columns
-        seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
-        for row in _run_measured(node.child, source, actuals):
-            seen.setdefault(
-                tuple(row[c] if isinstance(c, int) else c.cid for c in columns)
-            )
-        return tuple(seen)
-    if node_type is UnitNode:
-        return ((),)
-    if node_type is UnionPlanNode:
-        seen = OrderedDict()
-        for child in node.children:
-            for row in _run_measured(child, source, actuals):
-                seen.setdefault(row)
-        return tuple(seen)
-    raise PlanError(f"unknown plan node {node_type.__name__}")
-
-
-def analyze_plan(
-    plan: CompiledPlan, source: PlanDataSource
-) -> Tuple[frozenset, Actuals]:
-    """Run *plan* measured: ``(answer rows, per-node actual cardinalities)``.
-
-    Observations flow into the plan's runtime feedback exactly as a normal
-    execution's would.
-    """
-    table = source.table
-    actuals: Actuals = {}
-    for predicate in plan.prefilters:
-        if not predicate.evaluate((), table):
-            return frozenset(), actuals
-    rows = frozenset(_run_measured(plan.root, source, actuals))
-    record_feedback(plan, source, len(rows))
-    return rows, actuals
-
-
-def render_analysis(plan: CompiledPlan, actuals: Actuals, worlds: int = 1) -> str:
-    """The annotated EXPLAIN ANALYZE tree of one (or many) measured runs."""
+def _render(
+    plan: CompiledPlan, actuals: Actuals, worlds: int, summary: str
+) -> str:
+    """The annotated tree, a *summary* line, and the q-error footer."""
 
     def annotate(node: PlanNode) -> str:
         parts = []
@@ -157,7 +50,14 @@ def render_analysis(plan: CompiledPlan, actuals: Actuals, worlds: int = 1) -> st
             return ""
         return "  (" + " ".join(parts) + " rows)"
 
-    return plan.explain(annotate=annotate)
+    lines = [plan.explain(annotate=annotate), summary]
+    feedback = plan.feedback
+    if feedback is not None and feedback.checks:
+        line = f"max q-error: {feedback.max_q_error:.2f}"
+        if feedback.stale:
+            line += " (plan marked stale; next cache hit re-optimizes)"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def explain_analyze(query, database, table=None) -> str:
@@ -171,16 +71,9 @@ def explain_analyze(query, database, table=None) -> str:
 
     core = database.core()
     plan = plan_for(query, table=table, facts=core)
-    source = data_source_for(core)
-    result, actuals = analyze_plan(plan, source)
-    lines = [render_analysis(plan, actuals), f"answers: {len(result)}"]
-    feedback = plan.feedback
-    if feedback is not None and feedback.checks:
-        line = f"max q-error: {feedback.max_q_error:.2f}"
-        if feedback.stale:
-            line += " (plan marked stale; next cache hit re-optimizes)"
-        lines.append(line)
-    return "\n".join(lines)
+    actuals: Actuals = {}
+    result = execute_plan(plan, data_source_for(core), actuals)
+    return _render(plan, actuals, 1, f"answers: {len(result)}")
 
 
 def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
@@ -201,25 +94,12 @@ def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
         core = world.core()
         if plan is None:
             plan = plan_for(query, table=table, facts=core)
-        source = data_source_for(core)
-        result, actuals = analyze_plan(plan, source)
-        for key, value in actuals.items():
-            totals[key] = totals.get(key, 0) + value
-        answer_total += len(result)
+        answer_total += len(execute_plan(plan, data_source_for(core), totals))
         world_count += 1
     if plan is None:
         return "no possible worlds to analyze"
-    lines = [
-        render_analysis(plan, totals, worlds=world_count),
-        (
-            f"worlds analyzed: {world_count}, "
-            f"mean answers/world: {answer_total / world_count:.1f}"
-        ),
-    ]
-    feedback = plan.feedback
-    if feedback is not None and feedback.checks:
-        line = f"max q-error: {feedback.max_q_error:.2f}"
-        if feedback.stale:
-            line += " (plan marked stale; next cache hit re-optimizes)"
-        lines.append(line)
-    return "\n".join(lines)
+    summary = (
+        f"worlds analyzed: {world_count}, "
+        f"mean answers/world: {answer_total / world_count:.1f}"
+    )
+    return _render(plan, totals, world_count, summary)

@@ -44,6 +44,9 @@ from repro.plan.ir import (
 
 Rows = Tuple[Tuple[int, ...], ...]
 
+#: Per-plan-node actual row counts, keyed by node identity (``id(node)``).
+Actuals = Dict[int, int]
+
 _EMPTY_ROWS: Rows = ()
 
 
@@ -225,68 +228,99 @@ def _scan_probe_join(
     return out
 
 
-def _run(node: PlanNode, source: PlanDataSource) -> Sequence[Tuple[int, ...]]:
+def _observe(actuals: Actuals, node: PlanNode, count: int) -> None:
+    actuals[id(node)] = actuals.get(id(node), 0) + count
+
+
+def _hash_join(
+    node: HashJoinNode,
+    left_rows: Sequence[Tuple[int, ...]],
+    source: PlanDataSource,
+    actuals: Optional[Actuals],
+) -> Sequence[Tuple[int, ...]]:
+    """Probe *node*'s build side with the (non-empty) *left_rows*."""
+    right = node.right
+    if type(right) is ScanNode:
+        # The build-side scan is read through the source's caches, not
+        # through _run, so the join reports its cardinality itself.
+        if actuals is not None:
+            _observe(actuals, right, len(source.scan_rows(right)))
+        if (
+            node.prefer_scan_probe
+            and source.cached_index(right, node.right_keys) is None
+        ):
+            return _scan_probe_join(node, left_rows, source)
+        index = source.join_index(right, node.right_keys)
+    else:
+        index = _build_index(_run(right, source, actuals), node.right_keys)
+    if not index:
+        return _EMPTY_ROWS
+    left_keys = node.left_keys
+    out: List[Tuple[int, ...]] = []
+    if left_keys:
+        get = index.get
+        for lrow in left_rows:
+            matches = get(tuple(lrow[c] for c in left_keys))
+            if matches:
+                for rrow in matches:
+                    out.append(lrow + rrow)
+    else:
+        right_rows = index.get((), _EMPTY_ROWS)
+        for lrow in left_rows:
+            for rrow in right_rows:
+                out.append(lrow + rrow)
+    return out
+
+
+def _run(
+    node: PlanNode, source: PlanDataSource, actuals: Optional[Actuals] = None
+) -> Sequence[Tuple[int, ...]]:
+    """Evaluate *node*; with an *actuals* sink, add its row count there.
+
+    A join whose probe side comes up empty skips its build side, which
+    therefore records nothing.
+    """
     node_type = type(node)
     if node_type is ScanNode:
-        return source.scan_rows(node)
-    if node_type is HashJoinNode:
-        left_rows = _run(node.left, source)
-        if not left_rows:
-            return _EMPTY_ROWS
-        right = node.right
-        if type(right) is ScanNode:
-            if (
-                node.prefer_scan_probe
-                and source.cached_index(right, node.right_keys) is None
-            ):
-                return _scan_probe_join(node, left_rows, source)
-            index = source.join_index(right, node.right_keys)
-        else:
-            index = _build_index(_run(right, source), node.right_keys)
-        if not index:
-            return _EMPTY_ROWS
-        left_keys = node.left_keys
-        out: List[Tuple[int, ...]] = []
-        if left_keys:
-            get = index.get
-            for lrow in left_rows:
-                matches = get(tuple(lrow[c] for c in left_keys))
-                if matches:
-                    for rrow in matches:
-                        out.append(lrow + rrow)
-        else:
-            right_rows = index.get((), _EMPTY_ROWS)
-            for lrow in left_rows:
-                for rrow in right_rows:
-                    out.append(lrow + rrow)
-        return out
-    if node_type is FilterNode:
+        rows = source.scan_rows(node)
+    elif node_type is HashJoinNode:
+        left_rows = _run(node.left, source, actuals)
+        rows = (
+            _hash_join(node, left_rows, source, actuals)
+            if left_rows
+            else _EMPTY_ROWS
+        )
+    elif node_type is FilterNode:
         predicate = node.predicate
         table = source.table
-        return [
+        rows = [
             row
-            for row in _run(node.child, source)
+            for row in _run(node.child, source, actuals)
             if predicate.evaluate(row, table)
         ]
-    if node_type is ProjectNode:
+    elif node_type is ProjectNode:
         columns = node.columns
         seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
-        for row in _run(node.child, source):
+        for row in _run(node.child, source, actuals):
             seen.setdefault(
                 tuple(
                     row[c] if isinstance(c, int) else c.cid for c in columns
                 )
             )
-        return tuple(seen)
-    if node_type is UnitNode:
-        return ((),)
-    if node_type is UnionPlanNode:
+        rows = tuple(seen)
+    elif node_type is UnitNode:
+        rows = ((),)
+    elif node_type is UnionPlanNode:
         seen = OrderedDict()
         for child in node.children:
-            for row in _run(child, source):
+            for row in _run(child, source, actuals):
                 seen.setdefault(row)
-        return tuple(seen)
-    raise PlanError(f"unknown plan node {node_type.__name__}")
+        rows = tuple(seen)
+    else:
+        raise PlanError(f"unknown plan node {node_type.__name__}")
+    if actuals is not None:
+        _observe(actuals, node, len(rows))
+    return rows
 
 
 def record_feedback(
@@ -320,14 +354,21 @@ def record_feedback(
 
 
 def execute_plan(
-    plan: CompiledPlan, source: PlanDataSource
+    plan: CompiledPlan,
+    source: PlanDataSource,
+    actuals: Optional[Actuals] = None,
 ) -> FrozenSet[Tuple[int, ...]]:
-    """Run a compiled plan; answers are rows of constant IDs."""
+    """Run a compiled plan; answers are rows of constant IDs.
+
+    With an *actuals* sink, every operator that ran adds its output row
+    count under ``id(node)`` (EXPLAIN ANALYZE's measurements); a plan cut
+    short by a false prefilter records nothing.
+    """
     table = source.table
     for predicate in plan.prefilters:
         if not predicate.evaluate((), table):
             return frozenset()  # boxed-ok: ints
-    rows = frozenset(_run(plan.root, source))  # boxed-ok: ints
+    rows = frozenset(_run(plan.root, source, actuals))  # boxed-ok: ints
     if plan.feedback is not None:
         record_feedback(plan, source, len(rows))
     return rows

@@ -139,17 +139,28 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
+    def _instrument(self, instruments: Dict, name: str, factory):
+        """The named instrument; constructed (under the lock) only on a miss.
+
+        A hit allocates nothing: hot paths look their instruments up per
+        call, and a fresh ``Histogram`` seeds a ``random.Random``.
+        """
+        instrument = instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = instruments.get(name)
+                if instrument is None:
+                    instrument = instruments[name] = factory()
+        return instrument
+
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            return self._counters.setdefault(name, Counter())
+        return self._instrument(self._counters, name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            return self._gauges.setdefault(name, Gauge())
+        return self._instrument(self._gauges, name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            return self._histograms.setdefault(name, Histogram())
+        return self._instrument(self._histograms, name, Histogram)
 
     def snapshot(self) -> Dict[str, object]:
         """All instruments as plain data: the scrapeable metrics surface."""

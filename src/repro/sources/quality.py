@@ -10,7 +10,7 @@ This module provides those two estimation routes:
 
 * :func:`estimate_soundness` — audit a random sample of the extension with a
   correctness oracle and return a one-sided lower confidence bound (exact
-  Clopper–Pearson via the Beta distribution).
+  Clopper–Pearson, solved on the binomial tail).
 * :func:`completeness_from_fd` / :func:`intended_size_from_fd` — derive the
   intended-content size from a functional dependency A_1..A_l → A_{l+1}..A_k
   with known determining-attribute domains, giving a *deterministic*
@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Callable, Iterable, Optional, Sequence
-
-from scipy import stats
 
 from repro.exceptions import SourceError
 from repro.model.atoms import Atom
@@ -37,6 +36,10 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> flo
 
     ``P(p >= bound) >= confidence`` for the true proportion p given
     *successes* out of *trials*. Returns 0.0 when successes == 0.
+
+    The bound is the p at which seeing *successes* or more has probability
+    ``1 - confidence`` (the Beta quantile ``B(1 - confidence; x, n - x + 1)``).
+    That upper binomial tail increases with p, so bisection finds it.
     """
     if trials <= 0:
         raise SourceError("sample size must be positive")
@@ -47,7 +50,30 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> flo
     if successes == 0:
         return 0.0
     alpha = 1.0 - confidence
-    return float(stats.beta.ppf(alpha, successes, trials - successes + 1))
+    # log C(n, k) for every k in the tail, from exact integer binomials
+    # (C(n, k+1) = C(n, k) * (n-k) / (k+1)), computed once for all probes.
+    log_combs = []
+    comb = math.comb(trials, successes)
+    for k in range(successes, trials + 1):
+        log_combs.append((k, math.log(comb)))
+        comb = comb * (trials - k) // (k + 1)
+
+    def upper_tail(p: float) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        return sum(
+            math.exp(log_comb + k * log_p + (trials - k) * log_q)
+            for k, log_comb in log_combs
+        )
+
+    low, high = 0.0, 1.0
+    while True:
+        mid = (low + high) / 2.0
+        if mid in (low, high):
+            return mid
+        if upper_tail(mid) < alpha:
+            low = mid
+        else:
+            high = mid
 
 
 def estimate_soundness(
@@ -87,7 +113,7 @@ def required_sample_size(confidence: float, margin: float, p_guess: float = 0.5)
         raise SourceError(f"confidence must be in (0, 1): {confidence}")
     if not 0 < margin < 1:
         raise SourceError(f"margin must be in (0, 1): {margin}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     return max(1, math.ceil(z * z * p_guess * (1.0 - p_guess) / (margin * margin)))
 
 

@@ -39,16 +39,22 @@ class Constraint:
 
     def satisfied_by(self, database: GlobalDatabase) -> bool:
         """Every embedding of U into D is compatible with some θ ∈ Θ."""
-        for valuation in self.tableau.embeddings(database):
-            if not any(compatible(valuation, theta) for theta in self.substitutions):
-                return False
-        return True
+        return next(self.violating_embeddings(database), None) is None
 
     def violating_embeddings(self, database: GlobalDatabase) -> Iterator[Substitution]:
-        """Embeddings incompatible with every θ (for diagnostics/tests)."""
-        for valuation in self.tableau.embeddings(database):
-            if not any(compatible(valuation, theta) for theta in self.substitutions):
-                yield valuation
+        """Embeddings incompatible with every θ (for diagnostics/tests).
+
+        The search stops extending a partial embedding as soon as it is
+        compatible with some θ. Compatibility compares the images of θ's
+        variables, an embedding binds variables to constants only, and an
+        unbound variable equals no other term; so every extension of a
+        compatible partial embedding is compatible too. Without this cut,
+        C^U's m+1 rows alone have k^(m+1) embeddings into k facts.
+        """
+        return self.tableau.embeddings(database, prune=self._compatible)
+
+    def _compatible(self, valuation: Substitution) -> bool:
+        return any(compatible(valuation, theta) for theta in self.substitutions)
 
     def __eq__(self, other: object) -> bool:
         return (

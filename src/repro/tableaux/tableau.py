@@ -7,7 +7,7 @@ engine behind constraint satisfaction and ``rep(T)`` membership.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.model.atoms import Atom
 from repro.model.database import GlobalDatabase
@@ -85,15 +85,21 @@ class Tableau:
         return self.substitute(freezing), freezing
 
     def embeddings(
-        self, database: GlobalDatabase, seed: Optional[Substitution] = None
+        self,
+        database: GlobalDatabase,
+        seed: Optional[Substitution] = None,
+        prune: Optional[Callable[[Substitution], bool]] = None,
     ) -> Iterator[Substitution]:
         """All valuations σ (over the tableau's variables) with σ(U) ⊆ D.
 
         Backtracking search ordered by most-constrained atom first. Atoms
-        already ground simply require membership in the database.
+        already ground simply require membership in the database. A partial
+        valuation for which *prune* holds is neither extended nor yielded.
         """
         atoms = sorted(self.atoms, key=lambda a: (-len(a.constants()), str(a)))
-        yield from _embed(atoms, 0, database, seed if seed is not None else Substitution())
+        yield from _embed(
+            atoms, 0, database, seed if seed is not None else Substitution(), prune
+        )
 
     def embeds_in(self, database: GlobalDatabase) -> bool:
         """Is there at least one embedding into *database*?
@@ -137,17 +143,23 @@ class Tableau:
 
 
 def _embed(
-    atoms, index: int, database: GlobalDatabase, substitution: Substitution
+    atoms,
+    index: int,
+    database: GlobalDatabase,
+    substitution: Substitution,
+    prune: Optional[Callable[[Substitution], bool]],
 ) -> Iterator[Substitution]:
+    if prune is not None and prune(substitution):
+        return
     if index == len(atoms):
         yield substitution
         return
     pattern = atoms[index].substitute(substitution)
     if pattern.is_ground():
         if pattern in database:
-            yield from _embed(atoms, index + 1, database, substitution)
+            yield from _embed(atoms, index + 1, database, substitution, prune)
         return
     for candidate in database.extension(pattern.relation):
         extended = match_atom(pattern, candidate, substitution)
         if extended is not None:
-            yield from _embed(atoms, index + 1, database, extended)
+            yield from _embed(atoms, index + 1, database, extended, prune)

@@ -14,7 +14,8 @@ from repro.plan import (
     reset_optimizer_stats,
     statistics_for,
 )
-from repro.plan.analyze import analyze_plan
+from repro.plan.executor import _run
+from repro.plan.ir import HashJoinNode, UnionPlanNode
 from repro.plan.optimizer import (
     MAX_REOPTS_PER_PLAN,
     REOPT_MIN_ROWS,
@@ -33,6 +34,38 @@ def skewed_database(big=200, small=4):
         [fact("Big", f"k{i % 10}", f"z{i}") for i in range(big)]
         + [fact("Small", f"x{i}", f"k{i}") for i in range(small)]
     )
+
+
+def observed_execution(plan, source):
+    """Execute *plan* with a row-count sink and check what the sink holds.
+
+    Observing must not change the answer; every recorded node holds the
+    length of ``_run`` on its subtree; a node is recorded exactly when it
+    ran, so a hash join whose probe side is empty leaves its build side
+    unrecorded. Returns ``(rows, actuals)``.
+    """
+    actuals = {}
+    rows = execute_plan(plan, source, actuals)
+    assert rows == execute_plan(plan, source)
+    stack = [plan.root]
+    while stack:
+        node = stack.pop()
+        children = (
+            node.children if isinstance(node, UnionPlanNode) else node.children()
+        )
+        if id(node) not in actuals:
+            assert not any(id(child) in actuals for child in children)
+            stack.extend(children)
+            continue
+        assert actuals[id(node)] == len(_run(node, source))
+        if isinstance(node, HashJoinNode):
+            assert id(node.left) in actuals
+            probed = actuals[id(node.left)] > 0
+            assert (id(node.right) in actuals) == probed
+        else:
+            assert all(id(child) in actuals for child in children)
+        stack.extend(children)
+    return rows, actuals
 
 
 def answers(plan, source, table):
@@ -206,9 +239,27 @@ class TestExplainAnalyze:
         query = parse_rule("ans(x, z) <- Big(y, z), Small(x, y)")
         plan = compile_query(query, global_table(), stats=statistics_for(core))
         source = data_source_for(core)
-        rows, actuals = analyze_plan(plan, source)
-        assert rows == execute_plan(plan, source)
+        rows, actuals = observed_execution(plan, source)
         assert actuals[id(plan.root)] == len(rows)
+        assert len(actuals) == 4  # project, join and both scans all ran
+
+    def test_empty_probe_join_leaves_build_scan_unrecorded(self):
+        database = GlobalDatabase(
+            [fact("Big", f"k{i % 10}", f"z{i}") for i in range(200)]
+            + [fact("Small", "x0", "nowhere")]
+        )
+        core = database.core()
+        query = parse_rule("ans(x, z) <- Big(y, z), Small(x, y), Small(x, x)")
+        plan = compile_query(query, global_table(), stats=statistics_for(core))
+        rows, actuals = observed_execution(plan, data_source_for(core))
+        assert rows == frozenset()
+        # Small ⨝ Small comes up empty, so the outer join never reads Big.
+        join = plan.root.child
+        assert isinstance(join, HashJoinNode)
+        assert actuals[id(join.left)] == 0
+        assert id(join.right) not in actuals
+        text = explain_analyze(query, database)
+        assert "scan Big/2 -> (arg0, arg1)  (est=200 rows)" in text
 
     def test_explain_analyze_renders_actuals(self):
         database = skewed_database()

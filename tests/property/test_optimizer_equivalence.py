@@ -2,8 +2,8 @@
 
 For random multi-relation databases and join queries, the
 statistics-optimized plan, the static plan, the backtracking join, and the
-naive evaluator must agree exactly — and EXPLAIN ANALYZE's instrumented
-interpreter must return the same rows as the hot path it measures.
+naive evaluator must agree exactly — and executing with EXPLAIN ANALYZE's
+row-count sink must return the same rows and record exactly what ran.
 """
 
 from hypothesis import given, settings
@@ -16,10 +16,10 @@ from repro.plan import (
     execute_plan,
     statistics_for,
 )
-from repro.plan.analyze import analyze_plan
 from repro.plan.statistics import TableStatistics
 from repro.queries import evaluate_backtracking, evaluate_naive, parse_rule
 
+from tests.plan.test_optimizer import observed_execution
 from tests.property.strategies import binary_databases
 
 JOIN_QUERIES = [
@@ -75,8 +75,7 @@ def test_analyze_agrees_with_execution(db, rule):
     core = db.core()
     plan = compile_query(query, table, stats=statistics_for(core))
     source = data_source_for(core)
-    rows, actuals = analyze_plan(plan, source)
-    assert rows == execute_plan(plan, source)
+    rows, actuals = observed_execution(plan, source)
     if plan.optimizer_info is not None:
         assert actuals[id(plan.root)] == len(rows)
 

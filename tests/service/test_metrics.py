@@ -1,9 +1,12 @@
 """Counters, gauges, percentile histograms, and the snapshot shape."""
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.service import metrics
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -85,6 +88,46 @@ class TestMetricsRegistry:
         assert snapshot["counters"] == {"requests": 1}
         assert snapshot["gauges"]["depth"]["value"] == 3
         assert snapshot["histograms"]["latency"]["count"] == 1
+
+    def test_lookup_hit_constructs_nothing(self, monkeypatch):
+        built = []
+
+        class CountingHistogram(Histogram):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "Histogram", CountingHistogram)
+        registry = MetricsRegistry()
+        first = registry.histogram("x")
+        assert registry.histogram("x") is first
+        assert built == [first]
+
+    def test_concurrent_first_use_creates_one_instrument(self):
+        registry = MetricsRegistry()
+        names = [f"n{i}" for i in range(50)]
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait(timeout=10)
+            for name in names:
+                registry.counter(name).inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # A lost race would leave some increments on a discarded Counter.
+        assert registry.snapshot()["counters"] == {name: 8 for name in names}
 
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()

@@ -32,6 +32,29 @@ class TestClopperPearson:
         tight = clopper_pearson_lower(80, 100, 0.99)
         assert tight < loose
 
+    # Expected values are the Beta quantiles B(1 - confidence; x, n - x + 1)
+    # that define the exact bound, to 15 significant digits.
+    @pytest.mark.parametrize(
+        "successes, trials, confidence, expected",
+        [
+            (0, 1, 0.99, 0.0),
+            (1, 1, 0.95, 0.05),
+            (100, 100, 0.95, 0.970486950392960),
+            (50, 50, 0.99, 0.912010839355910),
+            (385, 385, 0.95, 0.992249071780833),
+            (1, 10, 0.95, 0.00511619689182371),
+            (5, 20, 0.9, 0.126926059935809),
+            (80, 100, 0.95, 0.722799750329086),
+            (80, 100, 0.99, 0.690791286593435),
+            (99, 100, 0.5, 0.983273329454237),
+            (2000, 2500, 0.95, 0.786383431775568),
+            (1000, 16588, 0.95, 0.0572718965531934),
+        ],
+    )
+    def test_pinned_values(self, successes, trials, confidence, expected):
+        bound = clopper_pearson_lower(successes, trials, confidence)
+        assert bound == pytest.approx(expected, rel=1e-12)
+
     def test_invalid_arguments(self):
         with pytest.raises(SourceError):
             clopper_pearson_lower(5, 0, 0.95)
@@ -66,6 +89,20 @@ class TestSampleSize:
     def test_classic_values(self):
         # 95% confidence, 5% margin, p=0.5 -> ~385
         assert 380 <= required_sample_size(0.95, 0.05) <= 390
+
+    @pytest.mark.parametrize(
+        "confidence, margin, p_guess, expected",
+        [
+            (0.95, 0.05, 0.5, 385),
+            (0.99, 0.01, 0.5, 16588),
+            (0.9, 0.1, 0.3, 57),
+            (0.5, 0.2, 0.5, 3),
+            (0.999, 0.001, 0.5, 2706892),
+            (0.95, 0.5, 0.01, 1),
+        ],
+    )
+    def test_pinned_values(self, confidence, margin, p_guess, expected):
+        assert required_sample_size(confidence, margin, p_guess) == expected
 
     def test_tighter_margin_needs_more(self):
         assert required_sample_size(0.95, 0.01) > required_sample_size(0.95, 0.1)
