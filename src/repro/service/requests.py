@@ -108,6 +108,7 @@ class ServiceResponse:
         """
         from repro.shard.merge import canonical_order
 
+        answers = [str(a) for a in canonical_order(self.answers)]
         out = {
             "request_id": self.request_id,
             "status": self.status.value,
@@ -121,20 +122,18 @@ class ServiceResponse:
             "latency": self.latency,
             "batch_size": self.batch_size,
             "attempts": self.attempts,
-            "answers": [str(a) for a in canonical_order(self.answers)],
+            "answers": answers,
             "degraded": self.degraded,
             "guarantee": self.guarantee,
         }
         if self.degraded:
             out["excluded_sources"] = list(self.excluded_sources)
-            out["downgraded_answers"] = [
+            downgraded = [
                 str(a) for a in canonical_order(self.downgraded_answers)
             ]
+            out["downgraded_answers"] = downgraded
             out["answer_guarantees"] = dict(
-                [(str(a), "certain") for a in canonical_order(self.answers)]
-                + [
-                    (str(a), "possible")
-                    for a in canonical_order(self.downgraded_answers)
-                ]
+                [(a, "certain") for a in answers]
+                + [(a, "possible") for a in downgraded]
             )
         return out

@@ -9,8 +9,9 @@ touch — pruning all but one shard when a pushed-down constant fixes the
 partition key, choosing broadcast vs repartition for joins from the
 statistics catalog's cardinalities — and the :class:`ShardExecutor`
 (:mod:`repro.shard.executor`) scatters compiled-plan execution across the
-fragments, serially or over PR 1's process pool, merging answers in one
-canonical total order (:mod:`repro.shard.merge`).
+fragments, serially or over the engine's process pool, merging answers as
+interned ID rows and boxing each distinct answer once, in one canonical
+total order (:mod:`repro.shard.merge`).
 
 The paper's per-source guarantee structure is what justifies the layer:
 completeness and soundness metadata attach to *parts* of the data, so
@@ -35,8 +36,8 @@ from repro.shard.executor import (
 from repro.shard.merge import (
     canonical_answer_key,
     canonical_order,
-    merge_answer_sets,
-    merge_ordered,
+    decode_rows,
+    merge_rows,
 )
 from repro.shard.partition import (
     MAX_PARTITIONS,
@@ -60,11 +61,11 @@ __all__ = [
     "canonical_order",
     "clear_partitions",
     "clear_worker_stores",
+    "decode_rows",
     "evaluate_fragment",
     "evaluate_sharded",
     "explain_shards",
-    "merge_answer_sets",
-    "merge_ordered",
+    "merge_rows",
     "partition_facts",
     "plan_shards",
     "reset_shard_stats",

@@ -3,14 +3,16 @@
 The :class:`ShardExecutor` takes a :class:`~repro.shard.store.ShardedDatabase`,
 asks the planner (:func:`repro.shard.planner.plan_shards`) which fragments a
 query must touch, runs the compiled plan against each fragment, and merges
-the per-fragment answers through :mod:`repro.shard.merge`.
+the per-fragment answers through :mod:`repro.shard.merge`. Answers stay
+interned — rows of constant IDs — through the merge and the ordering; only
+the final distinct answers are boxed.
 
 Two execution paths:
 
-* **serial** (the default, ``workers <= 1``): each fragment is evaluated
-  in-process through the plan pipeline. Fragments are plain
-  :class:`~repro.core.factset.IFactSet` values, so scan rows, join indexes,
-  and statistics are cached per fragment by the existing plan-layer LRUs —
+* **serial** (the default, ``workers <= 1``): the compiled plan is looked
+  up once per query and run in-process over each fragment. Fragments are
+  plain :class:`~repro.core.factset.IFactSet` values, so scan rows, join
+  indexes, and statistics are cached per fragment by the plan-layer LRUs —
   the pruning win (touch ``1/N`` of the store) needs no parallelism at all.
 * **process pool** (``workers >= 2``): fragments are shipped to PR 1's
   :class:`~repro.confidence.engine.executors.ProcessExecutor`. Interned IDs
@@ -19,10 +21,11 @@ Two execution paths:
   tuples — and queries as their parsed-back text. Workers cache each
   fragment under a coordinator-issued token; a worker seeing an unknown
   token without a payload answers a *miss* and the coordinator re-sends
-  with the payload, so steady state ships only tokens. Queries that do not
-  round-trip through the parser (builtin registries are closures) fall back
-  to the serial path; pool-creation failure degrades the same way the
-  engine's executors do.
+  with the payload, so steady state ships only tokens. Answers come back
+  as values and are interned on arrival into the serial path's row merge.
+  Queries that do not round-trip through the parser (builtin registries
+  are closures) fall back to the serial path; pool-creation failure
+  degrades the same way the engine's executors do.
 
 Process-wide counters (queries, fragments, pruned shards, strategy mix,
 misses) feed the service's ``stats()`` surface via :func:`shard_stats`.
@@ -38,8 +41,10 @@ from repro.cache import cache_registry
 from repro.cache.runtime import LRUMemo
 from repro.model.atoms import Atom
 from repro.model.terms import Constant
+from repro.plan.compiler import plan_for
+from repro.plan.executor import data_source_for, execute_plan
 from repro.queries.conjunctive import ConjunctiveQuery
-from repro.shard.merge import canonical_order, merge_answer_sets
+from repro.shard.merge import Row, decode_rows, merge_rows
 from repro.shard.planner import ShardPlan, explain_shards, plan_shards
 from repro.shard.store import ShardedDatabase
 
@@ -199,24 +204,23 @@ def clear_worker_stores() -> None:
 
 # -- serial fragment evaluation ------------------------------------------------
 
-def evaluate_fragment(query, facts) -> FrozenSet[Atom]:
-    """One fragment's answers through the compiled-plan pipeline.
+def evaluate_fragment(plan, facts) -> FrozenSet[Row]:
+    """One fragment's answer rows: the compiled *plan* run over *facts*.
 
-    The in-process mirror of :func:`repro.plan.evaluate` minus the boxed
-    database wrapper: fragments are already interned fact sets.
+    Rows are :func:`repro.plan.executor.execute_plan`'s tuples of constant
+    IDs; the executor merges and decodes them once per query.
     """
-    from repro.plan.compiler import plan_for
-    from repro.plan.executor import data_source_for, execute_plan
+    return execute_plan(plan, data_source_for(facts))
 
-    plan = plan_for(query, facts=facts)
-    source = data_source_for(facts)
-    rows = execute_plan(plan, source)
-    constant_value = plan.table.constant_value
-    head_relation = plan.head_relation
-    return frozenset(
-        Atom(head_relation, tuple(Constant(constant_value(c)) for c in row))
-        for row in rows
-    )
+
+def _compiled_plan(query, shard_plan: ShardPlan):
+    """The cached compiled plan for *query*, looked up once per query.
+
+    Cost-based compilation (first sight, or re-optimization of a stale
+    plan) profiles the first fragment, the one a per-fragment lookup would
+    have compiled against.
+    """
+    return plan_for(query, facts=shard_plan.fragments[0][1])
 
 
 # -- query portability ---------------------------------------------------------
@@ -304,31 +308,43 @@ class ShardExecutor:
 
     # -- answering ---------------------------------------------------------------
 
-    def answer(self, query) -> FrozenSet[Atom]:
-        """``Q(D)`` via scatter-gather: identical to the single-store path."""
-        plan = plan_shards(query, self.sharded)
-        self._count_plan(plan)
-        parts = self._execute(query, plan)
-        return merge_answer_sets(parts)
+    def answer(self, query) -> FrozenSet:
+        """``Q(D)`` via scatter-gather: identical to the single-store path.
 
-    def answer_ordered(self, query) -> Tuple[Atom, ...]:
+        Conjunctive queries answer head atoms; algebra trees (planned onto
+        the one global fragment) answer rows of constants, as
+        :func:`repro.plan.evaluate_rows` does.
+        """
+        return frozenset(self._gather(query, ordered=False))
+
+    def answer_ordered(self, query) -> Tuple:
         """:meth:`answer` in the canonical total order (service rendering)."""
-        return canonical_order(self.answer(query))
+        return self._gather(query, ordered=True)
 
     def explain(self, query) -> str:
         """The shard section of EXPLAIN for *query* over this store."""
         return explain_shards(query, self.sharded)
 
-    def _execute(self, query, plan: ShardPlan) -> List[Iterable[Atom]]:
+    def _gather(self, query, ordered: bool) -> Tuple:
+        """Scatter *query*, union the fragments' ID rows, decode once."""
+        shard_plan = plan_shards(query, self.sharded)
+        self._count_plan(shard_plan)
+        table = shard_plan.fragments[0][1].table
         if (
             self.workers >= 2
-            and len(plan.fragments) > 1
+            and len(shard_plan.fragments) > 1
             and _portable_query(query)
         ):
-            return self._execute_process(query, plan)
-        return [
-            evaluate_fragment(query, facts) for _index, facts in plan.fragments
-        ]
+            head_relation = query.head.relation
+            parts = self._execute_process(query, shard_plan)
+        else:
+            plan = _compiled_plan(query, shard_plan)
+            head_relation = plan.head_relation
+            parts = (
+                evaluate_fragment(plan, facts)
+                for _index, facts in shard_plan.fragments
+            )
+        return decode_rows(merge_rows(parts), table, head_relation, ordered)
 
     def _respawn_pool(self, pool):
         """Replace or reset a broken pool; returns the pool to use next.
@@ -357,7 +373,7 @@ class ShardExecutor:
         pool.shard_sent_tokens = set()
         return pool
 
-    def _execute_process(self, query, plan: ShardPlan) -> List[Iterable[Atom]]:
+    def _execute_process(self, query, plan: ShardPlan) -> List[Iterable[Row]]:
         pool = self._ensure_pool()
         if getattr(pool, "degraded", False):
             self._count("process_degraded")
@@ -390,8 +406,9 @@ class ShardExecutor:
                 results = pool.map(_worker_answer, tasks)
             except BROKEN_POOL_ERRORS:
                 self._count("pool_serial_fallbacks")
+                compiled = _compiled_plan(query, plan)
                 return [
-                    evaluate_fragment(query, facts)
+                    evaluate_fragment(compiled, facts)
                     for _index, facts in plan.fragments
                 ]
         missed = [i for i, result in enumerate(results) if result is None]
@@ -405,11 +422,9 @@ class ShardExecutor:
                 results[i] = result
         sent.update(token for token, _payload, _text in tasks)
         self._count("process_queries")
+        constant = plan.fragments[0][1].table.constant
         return [
-            [
-                Atom(relation, tuple(Constant(v) for v in values))
-                for relation, values in part
-            ]
+            [tuple(map(constant, values)) for _relation, values in part]
             for part in results
         ]
 
@@ -436,7 +451,7 @@ class ShardExecutor:
 
 def evaluate_sharded(
     query, database, spec, workers: int = 0, pool=None
-) -> FrozenSet[Atom]:
+) -> FrozenSet:
     """One-shot sharded evaluation of *query* over a boxed database.
 
     Convenience for per-world loops: the partition itself is cached by

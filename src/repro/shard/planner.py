@@ -141,7 +141,12 @@ def _plan_single_atom(query: ConjunctiveQuery, sharded: ShardedDatabase) -> Shar
         )
     term = atom.args[position]
     if isinstance(term, Constant):
-        bucket = stable_bucket(term.value, spec.num_shards)
+        # Facts are placed by their interned value, so route by it too:
+        # 1, True and 1.0 are one constant but hash to different buckets.
+        table = sharded.union_core().table
+        cid = table.find_constant(term.value)
+        value = term.value if cid is None else table.constant_value(cid)
+        bucket = stable_bucket(value, spec.num_shards)
         return ShardPlan(
             "pruned",
             ((bucket, sharded.shards()[bucket]),),

@@ -125,3 +125,30 @@ class TestResponseRendering:
         assert ServiceResponse.to_dict(response)["answers"] == [
             "ans(1)", "ans(2)", "ans(3)",
         ]
+
+    def test_degraded_to_dict_sorts_each_answer_set_once(self, monkeypatch):
+        import repro.shard.merge as merge
+
+        calls = []
+        original = merge.canonical_order
+
+        def counting(answers):
+            calls.append(answers)
+            return original(answers)
+
+        monkeypatch.setattr(merge, "canonical_order", counting)
+        response = ServiceResponse(
+            request_id=1,
+            status=RequestStatus.OK,
+            answers=(fact("ans", 2), fact("ans", 1)),
+            degraded=True,
+            downgraded_answers=(fact("ans", 4), fact("ans", 3)),
+        )
+        payload = response.to_dict()
+        assert len(calls) == 2
+        assert payload["answers"] == ["ans(1)", "ans(2)"]
+        assert payload["downgraded_answers"] == ["ans(3)", "ans(4)"]
+        assert list(payload["answer_guarantees"].items()) == [
+            ("ans(1)", "certain"), ("ans(2)", "certain"),
+            ("ans(3)", "possible"), ("ans(4)", "possible"),
+        ]

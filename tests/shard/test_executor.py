@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.algebra import RelationScan, cq_to_algebra
 from repro.confidence.engine.executors import make_executor
-from repro.model import GlobalDatabase, fact
+from repro.model import Atom, Constant, GlobalDatabase, Variable, fact
 from repro.plan import evaluate as plan_evaluate
-from repro.queries import parse_rule
+from repro.plan import evaluate_rows
+from repro.queries import ConjunctiveQuery, parse_rule
+from repro.queries.evaluation import evaluate_backtracking
 from repro.shard import (
     PartitionSpec,
     ShardExecutor,
@@ -151,3 +154,121 @@ class TestProcessPath:
         with executor_for(db, 4, workers=2) as ex:
             assert ex.answer(query) == plan_evaluate(query, db)
             assert "process_queries" not in ex.counters
+
+
+class TestAlgebraQueries:
+    """Algebra trees plan onto the global fragment and answer rows."""
+
+    def test_relation_scan_answers_rows(self):
+        db = make_db()
+        ex = executor_for(db, 4)
+        scan = RelationScan("E", 2)
+        assert ex.answer(scan) == evaluate_rows(scan, db)
+        assert ex.counters["strategy_global"] == 1
+
+    def test_translated_cq_answers_rows_in_order(self):
+        db = make_db()
+        tree = cq_to_algebra(parse_rule("V(x, z) <- E(x, y), E(y, z)"))
+        ordered = executor_for(db, 3).answer_ordered(tree)
+        assert frozenset(ordered) == evaluate_rows(tree, db)
+        assert len(ordered) == len(set(ordered))
+
+
+class StrA:
+    """A value whose ``str`` collides with :class:`StrB`'s and ``"clash"``."""
+
+    def __str__(self):
+        return "clash"
+
+    def __repr__(self):
+        return "StrA()"
+
+    def __eq__(self, other):
+        return type(other) is StrA
+
+    def __hash__(self):
+        return 7
+
+
+class StrB(StrA):
+    def __repr__(self):
+        return "StrB()"
+
+    def __eq__(self, other):
+        return type(other) is StrB
+
+    def __hash__(self):
+        return 7
+
+
+def mixed_db():
+    """``1``, ``True`` and ``1.0`` are one constant; each relation holds one
+    of them, so every answer column shows a single member of that class
+    (their type names order it the same way against every other value
+    here, whichever member the symbol table keeps)."""
+    return GlobalDatabase(
+        [
+            fact("E", 1, "1"),
+            fact("E", 1, (1, 2)),
+            fact("E", "1", StrA()),
+            fact("E", (1, 2), StrB()),
+            fact("E", StrA(), "clash"),
+            fact("E", StrB(), 1),
+            fact("F", True, "x"),
+            fact("F", "clash", "y"),
+            fact("F", (1, 2), True),
+            fact("F", StrB(), StrA()),
+            fact("G", 1.0),
+            fact("G", "1"),
+            fact("G", StrA()),
+        ]
+    )
+
+
+def _v(*names):
+    return tuple(Variable(n) for n in names)
+
+
+def _c(value):
+    return Constant(value)
+
+
+MIXED_QUERIES = [
+    parse_rule("V(x, y) <- E(x, y)"),
+    parse_rule("V(x, z) <- E(x, y), F(x, z)"),
+    parse_rule("V(y, z) <- E(x, y), F(y, z)"),
+    parse_rule("V(x, y) <- E(x, y), G(x)"),
+    parse_rule("V(y) <- E(1.0, y)"),
+    ConjunctiveQuery(
+        Atom("V", _v("y")), [Atom("E", (_c(True), Variable("y")))]
+    ),
+    ConjunctiveQuery(
+        Atom("V", _v("x")),
+        [Atom("F", (Variable("x"), _c(StrA()))), Atom("G", _v("x"))],
+    ),
+    ConjunctiveQuery(
+        Atom("V", _v("x", "y")),
+        [Atom("E", _v("x", "y")), Atom("F", (Variable("y"), _c(True)))],
+    ),
+]
+
+
+class TestMixedValueOrder:
+    """Interned-row merge and order reproduce boxed equality and order."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_serial_matches_backtracking(self, shards):
+        db = mixed_db()
+        ex = executor_for(db, shards)
+        for query in MIXED_QUERIES:
+            expected = canonical_order(evaluate_backtracking(query, db))
+            assert ex.answer_ordered(query) == expected, str(query)
+
+    def test_process_matches_backtracking(self):
+        db = mixed_db()
+        with executor_for(db, 3, workers=2) as ex:
+            for query in MIXED_QUERIES:
+                expected = canonical_order(evaluate_backtracking(query, db))
+                assert ex.answer_ordered(query) == expected, str(query)
+            if not getattr(ex._pool, "degraded", False):
+                assert ex.counters["process_queries"] > 0

@@ -4,9 +4,9 @@
 The ``repro.core`` refactor's contract is that the hot modules below speak
 term IDs end to end: no boxed :class:`~repro.model.terms.Constant` is
 constructed and no ``frozenset(...)`` of objects is materialized on a
-counting, embedding, or canonicalization path. This lint greps those modules
-for the two constructions and fails CI on any hit, so a future edit cannot
-quietly reintroduce per-candidate boxing.
+counting, embedding, canonicalization or shard-merge path. This lint greps
+those modules for the two constructions and fails CI on any hit, so a
+future edit cannot quietly reintroduce per-candidate boxing.
 
 A line may opt out with a trailing ``# boxed-ok`` comment — for genuinely
 cold boundary code living in a hot module, or for a ``frozenset`` that holds
@@ -41,6 +41,7 @@ HOT_MODULES = (
     "src/repro/consistency/coresearch.py",
     "src/repro/confidence/engine/kernel.py",
     "src/repro/confidence/engine/memo.py",
+    "src/repro/shard/merge.py",
 )
 
 #: Boxed constructions banned on hot paths. ``Constant(`` builds a boxed
