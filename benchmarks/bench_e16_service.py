@@ -8,9 +8,10 @@ Two tables:
    cap; the memo-off ablation shows the margin without the engine cache
    hiding the per-call cost.
 2. **Fault injection** — the burst under injected source latency,
-   transient errors, and tight deadlines. Degradation must be *graceful*:
-   every request ends in an explicit terminal status (OK / TIMEOUT /
-   REJECTED / ERROR), never a crash or a silently wrong confidence.
+   transient errors, and tight deadlines, set as the gateway's default
+   policy (every source's lane). Degradation must be *graceful*: every
+   request ends in an explicit terminal status (OK / TIMEOUT / REJECTED /
+   ERROR), never a crash or a silently wrong confidence.
 """
 
 import asyncio
@@ -22,6 +23,7 @@ from repro.sources import SourceCollection, SourceDescriptor
 from repro.service import (
     FaultPolicy,
     MediatorService,
+    PerSourceGateway,
     RequestStatus,
     SchedulerConfig,
 )
@@ -64,7 +66,7 @@ async def _burst(service: MediatorService, requests: int, timeout=None):
 
 
 def _run_config(collection, domain, requests, batch, cache_size, policy=None,
-                timeout=None):
+                timeout=None, seed=0):
     service = MediatorService(
         collection,
         domain,
@@ -73,7 +75,7 @@ def _run_config(collection, domain, requests, batch, cache_size, policy=None,
             max_batch=batch,
             engine_cache_size=cache_size,
         ),
-        fault_policy=policy,
+        gateway=PerSourceGateway(default=policy, seed=seed),
     )
     start = time.perf_counter()
     responses = asyncio.run(_burst(service, requests, timeout=timeout))
@@ -146,23 +148,15 @@ def test_e16_fault_injection(benchmark, results_dir):
     def sweep():
         rows = []
         scenarios = [
-            ("healthy", None, None),
-            ("latency 2ms", FaultPolicy(latency=0.002, seed=11), None),
-            (
-                "errors 50%",
-                FaultPolicy(error_rate=0.5, seed=7),
-                None,
-            ),
-            (
-                "latency + 5ms deadline",
-                FaultPolicy(latency=0.01, seed=11),
-                0.005,
-            ),
+            ("healthy", None, None, 0),
+            ("latency 2ms", FaultPolicy(latency=0.002), None, 11),
+            ("errors 50%", FaultPolicy(error_rate=0.5), None, 7),
+            ("latency + 5ms deadline", FaultPolicy(latency=0.01), 0.005, 11),
         ]
-        for label, policy, timeout in scenarios:
+        for label, policy, timeout, seed in scenarios:
             service, responses, elapsed = _run_config(
                 collection, domain, requests, 8, None,
-                policy=policy, timeout=timeout,
+                policy=policy, timeout=timeout, seed=seed,
             )
             by_status = {status: 0 for status in RequestStatus}
             for response in responses:
@@ -193,12 +187,16 @@ def test_e16_fault_injection(benchmark, results_dir):
     write_table(
         "e16_faults",
         f"E16: fault injection over a {requests}-request burst "
-        "(6-source chain, batch 8, retries 3)",
+        "(6-source chain, faults on every source, batch 8, 3 attempts "
+        "per probe)",
         ["scenario", "ok", "timeout", "error", "retries", "p95 ms"],
         rows,
         notes=[
             "every request ends in an explicit terminal status — the "
             "service never crashes or answers from a wrong snapshot",
+            "default all-or-nothing preset: a source that fails all its "
+            "attempts fails its batch (ERROR); retries counts failed "
+            "attempts over all probes",
             "TIMEOUT responses carry no confidences (no silently late or "
             "partial answers)",
         ],

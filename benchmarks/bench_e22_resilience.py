@@ -6,9 +6,10 @@ individual sources down (crash, partition, flap) while an open-loop
 request burst runs against the mediator service, and the harness measures
 what the breakers + semantic degradation buy:
 
-* **availability** — fraction of requests ending OK. The legacy whole-read
-  path turns one crashed source into a blanket ``ERROR`` for everyone; the
-  resilience layer answers from the remaining sources instead.
+* **availability** — fraction of requests ending OK. The default
+  all-or-nothing preset (``STRICT``) turns one crashed source into a
+  blanket ``ERROR`` for everyone; a degrading config answers from the
+  remaining sources instead.
 * **answer quality** — what the degraded answers still guarantee: certain
   answers retained vs downgraded-to-possible, per the paper's semantics
   over the demoted (⟨c=0, s=0⟩) annotations.
@@ -48,7 +49,15 @@ for _p in (REPO_ROOT, REPO_ROOT / "src"):
 from repro.confidence.answers import answer_query
 from repro.model import fact
 from repro.queries import identity_view, parse_rule
-from repro.resilience import ChaosRunner, ChaosSchedule, ResilienceConfig, demote
+from dataclasses import replace
+
+from repro.resilience import (
+    STRICT,
+    ChaosRunner,
+    ChaosSchedule,
+    ResilienceConfig,
+    demote,
+)
 from repro.service import (
     MediatorService,
     PerSourceGateway,
@@ -86,12 +95,19 @@ def domain_for(n: int):
     return [f"e{i}" for i in range(1, n + 2)]
 
 
-def resilience_config() -> ResilienceConfig:
+#: Retry knobs shared by both arms.
+RETRY = dict(max_attempts=2, backoff_base=0.001)
+
+
+def resilience_config(resilient: bool) -> ResilienceConfig:
+    if not resilient:
+        return replace(STRICT, **RETRY)
     return ResilienceConfig(
         source_timeout=0.02,
         min_samples=1,
         consecutive_limit=2,
         cooldown=0.04,
+        **RETRY,
     )
 
 
@@ -99,15 +115,11 @@ async def _drive(collection, domain, chaos: str, requests: int, pace: float,
                  resilient: bool, seed: int):
     """One scenario: a paced request burst under a chaos schedule."""
     gateway = PerSourceGateway(seed=seed)
-    runner = ChaosRunner(gateway, ChaosSchedule.parse(chaos, seed=seed))
+    runner = ChaosRunner(gateway, ChaosSchedule.parse(chaos))
     service = MediatorService(
         collection, domain,
         config=SchedulerConfig(
-            batch_window=0.0,
-            max_attempts=2,
-            backoff_base=0.001,
-            backoff_seed=seed,
-            resilience=resilience_config() if resilient else None,
+            batch_window=0.0, resilience=resilience_config(resilient)
         ),
         gateway=gateway,
     )
@@ -274,8 +286,8 @@ def main(argv=None) -> int:
         f"{'PASS' if not failures else 'FAIL'}",
         "degraded answers differentially checked against the statically "
         "demoted collection (paper semantics) every scenario",
-        "legacy = whole-read gateway, no breakers: one crashed source "
-        "fails the entire batch read",
+        "legacy = the default STRICT preset (degrade off, breakers never "
+        "trip): one crashed source fails the entire batch",
     ]
     table = write_table(
         "e22_resilience",

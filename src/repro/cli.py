@@ -21,8 +21,9 @@ Commands operate on source-collection files in the :mod:`repro.io` format:
   (``repro.service``) against an open-loop burst of confidence requests and
   report the observability snapshot; ``--json`` emits it machine-readable;
   ``--shards N`` answers query requests over a sharded certain database.
-  ``--resilience`` (implied by ``--source-fault`` / ``--chaos``) enables the
-  per-source availability layer (``repro.resilience``): circuit breakers,
+  ``--fault-*`` inject faults into every source; a lost source fails its
+  batch unless ``--resilience`` (implied by ``--source-fault`` /
+  ``--chaos``) degrades instead (``repro.resilience``): circuit breakers,
   per-source timeouts, hedged probes, and semantically degraded answers;
   ``--chaos`` scripts deterministic per-source outages over the burst.
 
@@ -213,15 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fault-latency-ms", type=float, default=0.0,
-        help="injected source-read latency in milliseconds",
+        help="injected probe latency in milliseconds (every source)",
     )
     serve.add_argument(
         "--fault-error-rate", type=float, default=0.0,
-        help="injected transient source-read failure probability",
+        help="injected transient probe failure probability (every source)",
     )
     serve.add_argument(
         "--fault-stale-rate", type=float, default=0.0,
-        help="probability a source read serves a superseded snapshot",
+        help="probability a batch reads a superseded snapshot",
     )
     serve.add_argument(
         "--shards", type=int, default=1, metavar="N",
@@ -235,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0, help="fault RNG seed")
     serve.add_argument(
         "--resilience", action="store_true",
-        help="enable the per-source availability layer (repro.resilience): "
-        "circuit breakers, per-source timeouts, hedged probes, degraded "
-        "answers; implied by --source-fault and --chaos",
+        help="degrade instead of failing when a source is lost "
+        "(repro.resilience): circuit breakers, per-source timeouts, hedged "
+        "probes, degraded answers; implied by --source-fault and --chaos",
     )
     serve.add_argument(
         "--source-fault", action="append", default=[], metavar="NAME:MODE",
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--source-timeout-ms", type=float, default=50.0,
-        help="per-source probe timeout in milliseconds (default 50)",
+        help="--resilience probe timeout in milliseconds (default 50)",
     )
     serve.add_argument(
         "--hedge-ms", type=float, default=0.0,
@@ -539,11 +540,14 @@ def cmd_rewrite(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    from dataclasses import replace
 
     from repro.exceptions import SourceError
+    from repro.resilience import STRICT, ChaosRunner, ChaosSchedule, ResilienceConfig
     from repro.service import (
         FaultPolicy,
         MediatorService,
+        PerSourceGateway,
         RequestStatus,
         SchedulerConfig,
     )
@@ -556,18 +560,6 @@ def cmd_serve(args) -> int:
         )
     if args.requests < 1:
         raise SourceError("--requests must be >= 1")
-    policy = None
-    if (
-        args.fault_latency_ms > 0
-        or args.fault_error_rate > 0
-        or args.fault_stale_rate > 0
-    ):
-        policy = FaultPolicy(
-            latency=args.fault_latency_ms / 1000.0,
-            error_rate=args.fault_error_rate,
-            stale_rate=args.fault_stale_rate,
-            seed=args.seed,
-        )
     if args.shards < 1:
         raise SourceError("--shards must be >= 1")
     if args.cache_budget_mb is not None:
@@ -576,47 +568,36 @@ def cmd_serve(args) -> int:
         if args.cache_budget_mb < 0:
             raise SourceError("--cache-budget-mb must be >= 0")
         set_cache_budget_mb(args.cache_budget_mb)
-    resilient = bool(args.resilience or args.source_fault or args.chaos)
-    gateway = None
-    chaos_runner = None
-    resilience_config = None
-    if resilient:
-        from repro.resilience import ChaosRunner, ChaosSchedule, ResilienceConfig
-        from repro.service import PerSourceGateway
-
-        if policy is not None:
-            raise SourceError(
-                "--fault-* flags drive the whole-read injector; with "
-                "--resilience use per-source faults (--source-fault, --chaos)"
-            )
-        gateway = PerSourceGateway(seed=args.seed)
-        # --source-fault entries are chaos events at t=0; one schedule
-        # (and one deterministic runner) drives both.
-        spec_parts = [f"0:{entry}" for entry in args.source_fault]
-        if args.chaos:
-            spec_parts.append(args.chaos)
-        schedule = ChaosSchedule.parse(",".join(spec_parts), seed=args.seed)
-        chaos_runner = ChaosRunner(gateway, schedule)
-        chaos_runner.advance(0.0)
-        resilience_config = ResilienceConfig(
+    try:
+        policy = FaultPolicy(
+            latency=args.fault_latency_ms / 1000.0,
+            error_rate=args.fault_error_rate,
+            stale_rate=args.fault_stale_rate,
+        )
+        resilience = ResilienceConfig(
             source_timeout=args.source_timeout_ms / 1000.0,
             hedge_delay=args.hedge_ms / 1000.0,
             error_threshold=args.breaker_threshold,
             cooldown=args.breaker_cooldown_ms / 1000.0,
+            backoff_jitter=args.backoff_jitter,
         )
-    config = SchedulerConfig(
-        max_queue=args.queue,
-        max_batch=args.batch,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
-        backoff_jitter=args.backoff_jitter,
-        backoff_seed=args.seed,
-        resilience=resilience_config,
-    )
-    service = MediatorService(
-        collection, args.domain, config=config, fault_policy=policy,
-        gateway=gateway,
-    )
+        if not (args.resilience or args.source_fault or args.chaos):
+            resilience = replace(STRICT, backoff_jitter=args.backoff_jitter)
+        config = SchedulerConfig(
+            max_queue=args.queue,
+            max_batch=args.batch,
+            shards=args.shards,
+            shard_workers=args.shard_workers,
+            resilience=resilience,
+        )
+    except ValueError as exc:
+        raise SourceError(f"invalid serve option: {exc}") from None
+    gateway = PerSourceGateway(default=policy, seed=args.seed)
+    # --source-fault entries are chaos events at t=0; one schedule (and one
+    # deterministic runner) drives both.
+    spec = [f"0:{entry}" for entry in args.source_fault] + [args.chaos or ""]
+    chaos_runner = ChaosRunner(gateway, ChaosSchedule.parse(",".join(spec)))
+    service = MediatorService(collection, args.domain, config=config, gateway=gateway)
     timeout = None if args.deadline_ms is None else args.deadline_ms / 1000.0
     gap = args.arrival_ms / 1000.0
     # With sharding on, every fifth request also carries the identity query,
@@ -635,8 +616,7 @@ def cmd_serve(args) -> int:
         async with service:
             futures = []
             for i in range(args.requests):
-                if chaos_runner is not None:
-                    chaos_runner.advance(loop.time() - start)
+                chaos_runner.advance(loop.time() - start)
                 if args.churn and i and i % args.churn == 0:
                     source = service.registry.snapshot().collection[0]
                     service.update_source(source.with_bounds(

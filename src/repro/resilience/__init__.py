@@ -8,9 +8,11 @@ still entail. See ``docs/resilience.md``. Layering:
 
 * :mod:`~repro.resilience.breaker` — closed/open/half-open circuit
   breakers with EWMA error-rate and latency tracking, explicit clocking.
-* :mod:`~repro.resilience.manager` — the per-batch availability pass:
-  concurrent per-source probes, per-source timeouts, hedged retries,
-  breaker bookkeeping; produces a :class:`ProbeReport`.
+* :mod:`~repro.resilience.manager` — the per-batch availability pass,
+  the service's one source-read path: concurrent per-source probes, one
+  probe deadline, retries with backoff, hedges, breaker bookkeeping;
+  produces a :class:`ProbeReport`. :data:`STRICT` is the all-or-nothing
+  preset (a lost source fails the batch) the service uses by default.
 * :mod:`~repro.resilience.degrade` — the semantics: demote a lost
   source's annotation to ⟨c=0, s=0⟩ and grade answers (``certain`` vs
   downgraded-to-``possible``) against the weakened collection.
@@ -41,6 +43,7 @@ from repro.resilience.degrade import (
     grade_answers,
 )
 from repro.resilience.manager import (
+    STRICT,
     ProbeReport,
     ResilienceConfig,
     ResilienceManager,
@@ -59,6 +62,7 @@ __all__ = [
     "demote",
     "downgraded",
     "grade_answers",
+    "STRICT",
     "ProbeReport",
     "ResilienceConfig",
     "ResilienceManager",

@@ -50,21 +50,21 @@ class ChaosEvent:
 
 
 def _parse_mode(
-    source: str, mode: str, arg: Optional[str], seed: int
+    source: str, mode: str, arg: Optional[str]
 ) -> Optional[FaultPolicy]:
     try:
         if mode == "crash":
-            return FaultPolicy(crash=True, seed=seed)
+            return FaultPolicy(crash=True)
         if mode == "partition":
-            return FaultPolicy(partition=True, seed=seed)
+            return FaultPolicy(partition=True)
         if mode in ("ok", "heal"):
             return None
         if mode in ("error", "flaky"):
             rate = float(arg) if arg is not None else 1.0
-            return FaultPolicy(error_rate=rate, seed=seed)
+            return FaultPolicy(error_rate=rate)
         if mode == "slow":
             latency_ms = float(arg) if arg is not None else 50.0
-            return FaultPolicy(latency=latency_ms / 1000.0, seed=seed)
+            return FaultPolicy(latency=latency_ms / 1000.0)
     except ValueError as exc:
         raise ChaosSpecError(
             f"bad chaos argument for {source}:{mode}: {exc}"
@@ -97,7 +97,7 @@ class ChaosSchedule:
         return self.events[-1].at if self.events else 0.0
 
     @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "ChaosSchedule":
+    def parse(cls, spec: str) -> "ChaosSchedule":
         """Parse the CLI spec format (see the module docstring)."""
         events: List[ChaosEvent] = []
         for chunk in (c.strip() for c in spec.split(",")):
@@ -121,7 +121,7 @@ class ChaosSchedule:
             if not source:
                 raise ChaosSpecError(f"empty source name in {chunk!r}")
             events.append(
-                ChaosEvent(at, source, _parse_mode(source, mode, arg, seed), mode)
+                ChaosEvent(at, source, _parse_mode(source, mode, arg), mode)
             )
         return cls(events)
 

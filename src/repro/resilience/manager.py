@@ -1,38 +1,49 @@
-"""The per-batch availability pass: breakers, timeouts, hedged probes.
+"""The per-batch availability pass: breakers, deadlines, retries, hedges.
 
-Before a batch computes, the :class:`ResilienceManager` resolves which of
-the snapshot's sources are *actually reachable right now*:
+Every batch reads its sources through :meth:`ResilienceManager.resolve`,
+the service's one source-read path:
 
 1. every source whose breaker is open is excluded instantly (a short
-   circuit — no read, no timeout budget spent);
+   circuit — no read, no deadline budget spent);
 2. the remaining sources are probed **concurrently** through the
-   gateway's per-source seam, each under its own ``source_timeout``;
-3. a probe that is slow past ``hedge_delay`` (or that failed with hedge
-   budget left) launches a staggered duplicate — a *hedged retry*; the
-   first success wins and the stragglers are cancelled;
+   gateway's per-source seam, all under one probe deadline: the earlier
+   of ``source_timeout`` and the batch's earliest request deadline;
+3. each probe spends at most ``max_attempts`` attempts: a
+   :class:`~repro.service.faults.TransientSourceError` is retried after
+   ``backoff(a)`` plus seeded jitter (never sleeping past the deadline),
+   and an attempt slower than ``hedge_delay`` is raced by a staggered
+   duplicate — a *hedge*; the first success wins;
 4. outcomes feed the breakers: failures open them, cooldowns half-open
    them, trial successes close them.
 
-The result is a :class:`ProbeReport`: the excluded source names (to be
-demoted by :mod:`repro.resilience.degrade`) plus counters. The manager
-never raises — total source loss is still a report, and the scheduler
-answers from whatever remains.
+The result is a :class:`ProbeReport`: the lost source names with the
+reason each was lost, the snapshot to compute against (an older one when
+the gateway serves a stale mirror) and counters. What a loss means is the
+config's ``degrade`` decision: demote the lost sources' annotations
+(:mod:`repro.resilience.degrade`) and answer from the rest, or — the
+:data:`STRICT` preset, the service's default — fail the batch. The
+manager itself never raises.
 
-Everything is clocked off the running event loop and the gateway's seeded
-RNGs, so the E22 chaos scenarios replay bit-for-bit.
+Randomness (fault lanes, backoff jitter) is seeded, so a fault sequence
+replays exactly; breakers are clocked off the running event loop, so the
+transition counts of a paced run such as E22 vary slightly between runs.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import random
+import sys
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.exceptions import ReproError
 from repro.resilience.breaker import (
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
 )
+from repro.service.faults import TransientSourceError
 
 #: Bound on remembered breaker transitions (the stats()/bench surface).
 MAX_TRANSITIONS = 256
@@ -40,17 +51,27 @@ MAX_TRANSITIONS = 256
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Tuning knobs of the per-source availability layer.
+    """Tuning knobs of the per-source availability pass.
 
-    ``source_timeout`` caps each probe (and all its hedges together);
-    ``hedge_delay`` is how long a probe may dawdle before a duplicate is
-    launched (0 disables hedging); ``max_hedges`` bounds duplicates per
-    probe. The breaker fields mirror :class:`BreakerConfig`.
+    ``source_timeout`` caps each probe, all its attempts together (None:
+    only the batch's earliest request deadline does); ``max_attempts`` is
+    each probe's attempt budget, retries and hedges alike;
+    ``backoff_base`` · 2^(a−1), capped at ``backoff_cap``, is the delay
+    before retry *a*, stretched by a seeded fraction of up to
+    ``backoff_jitter``; ``hedge_delay`` is how long an attempt may dawdle
+    before a duplicate races it (0 disables hedging). ``degrade`` decides
+    what a lost source costs: True demotes its annotation and answers from
+    the rest, False fails the batch. The breaker fields mirror
+    :class:`BreakerConfig`.
     """
 
-    source_timeout: float = 0.05
+    source_timeout: Optional[float] = 0.05
+    max_attempts: int = 3
+    backoff_base: float = 0.01
+    backoff_cap: float = 0.25
+    backoff_jitter: float = 0.0
     hedge_delay: float = 0.0
-    max_hedges: int = 1
+    degrade: bool = True
     error_threshold: float = 0.5
     ewma_alpha: float = 0.4
     min_samples: int = 2
@@ -59,12 +80,23 @@ class ResilienceConfig:
     half_open_probes: int = 1
 
     def __post_init__(self):
-        if self.source_timeout <= 0:
+        if self.source_timeout is not None and self.source_timeout <= 0:
             raise ValueError("source_timeout must be > 0")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.backoff_base < 0 or self.backoff_cap < 0:
+            raise ValueError("backoff_base and backoff_cap must be >= 0")
+        if self.backoff_jitter < 0:
+            raise ValueError("backoff_jitter must be >= 0")
         if self.hedge_delay < 0:
             raise ValueError("hedge_delay must be >= 0")
-        if self.max_hedges < 0:
-            raise ValueError("max_hedges must be >= 0")
+        # Fail here, at construction, not inside the batch worker when the
+        # first breaker is built.
+        self.breaker_config()
+
+    def backoff(self, attempt: int) -> float:
+        """Delay before retry *attempt* (1-based): base·2^(a−1), capped."""
+        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
 
     def breaker_config(self) -> BreakerConfig:
         return BreakerConfig(
@@ -77,39 +109,67 @@ class ResilienceConfig:
         )
 
 
+#: The all-or-nothing preset, :class:`~repro.service.SchedulerConfig`'s
+#: default: every source must answer before the batch's earliest deadline
+#: (no per-source timeout) or the batch fails with an ``ERROR`` naming the
+#: lost sources; breakers never trip, so every batch reads every source
+#: afresh.
+STRICT = ResilienceConfig(
+    source_timeout=None,
+    degrade=False,
+    min_samples=sys.maxsize,
+    consecutive_limit=sys.maxsize,
+)
+
+
 @dataclass
 class ProbeReport:
-    """What one availability pass found out."""
+    """What one availability pass found out (the counters live in the
+    metrics: ``source_probe_failures``, ``source_hedges``, ...)."""
 
-    excluded: Tuple[str, ...] = ()
+    #: the snapshot to compute against (older than the pinned one when the
+    #: gateway served a stale mirror)
+    snapshot: object = None
+    #: lost source → why (breaker open, the last attempt's error, timeout)
+    lost: Dict[str, str] = field(default_factory=dict)
     probed: int = 0
-    short_circuited: int = 0
-    failures: int = 0
-    timeouts: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
+    retries: int = 0
+    #: the most attempts any probe spent
+    attempts: int = 0
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.excluded)
+    def reason(self) -> str:
+        """One line naming every lost source and why it was lost."""
+        return "; ".join(
+            f"source {name!r} unavailable: {why}"
+            for name, why in sorted(self.lost.items())
+        )
 
 
 class ResilienceManager:
-    """Per-source breakers plus the concurrent probe/hedge machinery.
+    """Per-source breakers plus the concurrent probe/retry/hedge machinery.
 
     *metrics* is duck-typed (anything with ``counter(name).inc()`` and
     ``histogram(name).observe()`` — the service passes its
     :class:`~repro.service.metrics.MetricsRegistry`); ``None`` records
-    nothing. Breaker state transitions land in ``metrics`` counters
-    (``breaker_opened`` / ``breaker_half_opened`` / ``breaker_closed``)
-    and in a bounded :attr:`transitions` log.
+    nothing. *registry* is where a stale mirror's older snapshot comes
+    from; *seed* seeds the backoff jitter. Breaker state transitions land
+    in ``metrics`` counters (``breaker_opened`` / ``breaker_half_opened``
+    / ``breaker_closed``) and in a bounded :attr:`transitions` log.
     """
 
-    def __init__(self, config: Optional[ResilienceConfig] = None, metrics=None):
+    def __init__(
+        self,
+        config: Optional[ResilienceConfig] = None,
+        metrics=None,
+        registry=None,
+        seed: int = 0,
+    ):
         self.config = config if config is not None else ResilienceConfig()
         self.metrics = metrics
+        self.registry = registry
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.transitions: List[Dict[str, object]] = []
+        self._jitter = random.Random(seed)
 
     # -- breakers ----------------------------------------------------------------
 
@@ -142,86 +202,161 @@ class ResilienceManager:
 
     # -- the availability pass ---------------------------------------------------
 
-    async def resolve(self, snapshot, gateway) -> ProbeReport:
-        """Probe every source of *snapshot* through *gateway*; never raises."""
+    async def resolve(
+        self, snapshot, gateway, deadline: Optional[float] = None
+    ) -> ProbeReport:
+        """Probe every source of *snapshot* through *gateway*; never raises.
+
+        *deadline* is the batch's earliest absolute request deadline on
+        the loop clock (None = unbounded). A probe still running at the
+        probe deadline is cut off and its source lost; the breaker is told
+        only when the source's own ``source_timeout`` expired, since a
+        short request deadline says nothing about the source's health.
+        """
         loop = asyncio.get_running_loop()
-        report = ProbeReport()
-        excluded: List[str] = []
-        probes: List[Tuple[str, "asyncio.Task"]] = []
+        start = loop.time()
+        config = self.config
+        if self.registry is not None:
+            snapshot = gateway.stale_snapshot(snapshot, self.registry) or snapshot
+        report = ProbeReport(snapshot=snapshot)
+        own_deadline = (
+            None if config.source_timeout is None
+            else start + config.source_timeout
+        )
+        if deadline is None or (
+            own_deadline is not None and own_deadline <= deadline
+        ):
+            deadline = own_deadline
+        probes: Dict["asyncio.Task", str] = {}
         for source in snapshot.collection:
             name = source.name
-            breaker = self.breaker_for(name)
-            if not breaker.allow(loop.time()):
-                excluded.append(name)
-                report.short_circuited += 1
+            if not self.breaker_for(name).allow(start):
+                report.lost[name] = "circuit breaker open"
                 self._count("breaker_short_circuits")
                 continue
-            probes.append(
-                (name, loop.create_task(self._probe(gateway, snapshot, name, report)))
-            )
-        for name, task in probes:
-            report.probed += 1
-            ok = await task
-            if not ok:
-                excluded.append(name)
-        report.excluded = tuple(sorted(excluded))
-        if report.excluded:
-            self._count("sources_excluded", len(report.excluded))
+            probes[loop.create_task(
+                self._probe(gateway, snapshot, name, report, deadline)
+            )] = name
+        if probes:
+            report.probed = len(probes)
+            timeout = None if deadline is None else max(0.0, deadline - loop.time())
+            try:
+                done, pending = await asyncio.wait(probes, timeout=timeout)
+            except asyncio.CancelledError:  # the batch itself was abandoned
+                for task in probes:
+                    task.cancel()
+                raise
+            for task in done:
+                why = task.result()
+                if why is not None:
+                    report.lost[probes[task]] = why
+            for task in pending:
+                task.cancel()
+                name = probes[task]
+                report.lost[name] = "probe timed out"
+                if deadline == own_deadline:
+                    self._failure(name, start, loop)
+            if pending:
+                self._count("source_probe_timeouts", len(pending))
+        if report.lost:
+            self._count("sources_excluded", len(report.lost))
         return report
 
-    async def _probe(self, gateway, snapshot, name: str, report: ProbeReport) -> bool:
-        """One source's probe, hedged and clocked; outcome fed to its breaker."""
+    async def _probe(
+        self, gateway, snapshot, name: str, report: ProbeReport,
+        deadline: Optional[float],
+    ) -> Optional[str]:
+        """One source's probe within its attempt budget; None on success,
+        else why it failed. The outcome feeds the source's breaker."""
         loop = asyncio.get_running_loop()
-        breaker = self.breaker_for(name)
         config = self.config
         start = loop.time()
-        deadline = start + config.source_timeout
-        tasks = [loop.create_task(gateway.probe(snapshot, name))]
-        hedging = config.hedge_delay > 0 and config.max_hedges > 0
+        attempts = 0
+        while True:
+            if config.hedge_delay > 0:
+                launched, error = await self._race(
+                    gateway, snapshot, name, report, attempts
+                )
+                attempts += launched
+            else:
+                attempts += 1
+                report.attempts = max(report.attempts, attempts)
+                error = None
+                try:
+                    await gateway.probe(snapshot, name)
+                except Exception as exc:  # the gateway is outside input
+                    error = exc
+            if error is None:
+                latency = loop.time() - start
+                self.breaker_for(name).record_success(latency, loop.time())
+                self._observe("probe_latency", latency)
+                return None
+            why = (
+                str(error) if isinstance(error, ReproError)
+                else f"{type(error).__name__}: {error}"
+            )
+            if isinstance(error, TransientSourceError):
+                report.retries += 1
+                self._count("source_read_retries")
+                if attempts < config.max_attempts:
+                    delay = config.backoff(attempts)
+                    if config.backoff_jitter > 0:
+                        delay *= 1.0 + config.backoff_jitter * self._jitter.random()
+                    if deadline is None or loop.time() + delay <= deadline:
+                        await asyncio.sleep(delay)
+                        continue
+                    self._count("retry_budget_exhausted")
+                    why = (
+                        f"retry budget exhausted after attempt {attempts}: "
+                        f"backing off {delay:.3f}s would overrun the probe "
+                        "deadline"
+                    )
+            self._count("source_probe_failures")
+            self._failure(name, start, loop)
+            return why
+
+    async def _race(self, gateway, snapshot, name: str, report: ProbeReport,
+                    spent: int) -> Tuple[int, Optional[BaseException]]:
+        """Race hedged attempts: one now, another each ``hedge_delay`` while
+        the budget lasts; the first success wins and cancels the rest.
+
+        Returns ``(attempts launched, None)`` on success, else the last
+        failed attempt's exception once every launched attempt failed.
+        """
+        loop = asyncio.get_running_loop()
+        config = self.config
+        first = loop.create_task(gateway.probe(snapshot, name))
+        racing: Set["asyncio.Task"] = {first}
+        launched = 1
+        report.attempts = max(report.attempts, spent + launched)
+        error: Optional[BaseException] = None
         try:
-            while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    report.timeouts += 1
-                    self._count("source_probe_timeouts")
-                    self._failure(breaker, start, loop)
-                    return False
-                can_hedge = hedging and len(tasks) <= config.max_hedges
-                wait_for = min(remaining, config.hedge_delay) if can_hedge else remaining
-                done, _pending = await asyncio.wait(
-                    tasks, timeout=wait_for,
+            while racing:
+                can_hedge = spent + launched < config.max_attempts
+                done, racing = await asyncio.wait(
+                    racing,
+                    timeout=config.hedge_delay if can_hedge else None,
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 winners = [t for t in done if t.exception() is None]
                 if winners:
-                    if tasks.index(winners[0]) > 0:
-                        report.hedge_wins += 1
+                    if first not in winners:
                         self._count("source_hedge_wins")
-                    latency = loop.time() - start
-                    breaker.record_success(latency, loop.time())
-                    self._observe("probe_latency", latency)
-                    return True
-                all_failed = len(done) == len(tasks)
-                if all_failed and not can_hedge:
-                    report.failures += 1
-                    self._count("source_probe_failures")
-                    self._failure(breaker, start, loop)
-                    return False
-                if can_hedge:
-                    # Slow (nothing finished inside hedge_delay) or every
-                    # launched attempt failed: stagger out a duplicate.
-                    tasks.append(loop.create_task(gateway.probe(snapshot, name)))
-                    report.hedges += 1
+                    return launched, None
+                if done:
+                    error = next(iter(done)).exception()
+                if not done and can_hedge:
+                    racing.add(loop.create_task(gateway.probe(snapshot, name)))
+                    launched += 1
+                    report.attempts = max(report.attempts, spent + launched)
                     self._count("source_hedges")
+            return launched, error
         finally:
-            for task in tasks:
+            for task in racing:
                 task.cancel()
-            # Reap cancellations/failures so no "exception never retrieved"
-            # warnings leak from abandoned hedges.
-            await asyncio.gather(*tasks, return_exceptions=True)
 
-    def _failure(self, breaker: CircuitBreaker, start: float, loop) -> None:
-        breaker.record_failure(loop.time() - start, loop.time())
+    def _failure(self, name: str, start: float, loop) -> None:
+        self.breaker_for(name).record_failure(loop.time() - start, loop.time())
 
     # -- observability -----------------------------------------------------------
 
@@ -247,7 +382,9 @@ class ResilienceManager:
             "transitions": list(self.transitions),
             "config": {
                 "source_timeout": self.config.source_timeout,
+                "max_attempts": self.config.max_attempts,
                 "hedge_delay": self.config.hedge_delay,
+                "degrade": self.config.degrade,
                 "error_threshold": self.config.error_threshold,
                 "cooldown": self.config.cooldown,
             },

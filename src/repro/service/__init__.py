@@ -6,25 +6,24 @@ See ``docs/service.md`` for the architecture. Layering, bottom up:
   explicit terminal statuses (OK / TIMEOUT / REJECTED / ERROR).
 * :mod:`~repro.service.registry` — versioned, copy-on-write source
   registry; block-level diffs drive incremental memo invalidation.
-* :mod:`~repro.service.faults` — the source-read seam and its fault
-  injectors (latency, transient errors, staleness, crashes, partitions),
-  all seeded; :class:`PerSourceGateway` gives every source its own lane
-  and policy (the seam ``repro.resilience`` probes through).
+* :mod:`~repro.service.faults` — the source-read seam,
+  :class:`PerSourceGateway`: every source behind its own seeded fault lane
+  (latency, transient errors, crashes, partitions) plus gateway-wide
+  staleness — the seam ``repro.resilience`` probes through.
 * :mod:`~repro.service.metrics` / :mod:`~repro.service.tracing` — the
   observability substrate (counters, gauges, percentile histograms,
   bounded trace spans).
 * :mod:`~repro.service.scheduler` — bounded admission, deadlines,
-  micro-batching, retry with exponential backoff.
+  micro-batching, every batch's sources read through the availability
+  pass of ``repro.resilience``.
 * :mod:`~repro.service.server` — :class:`MediatorService`, the composition
   root behind ``python -m repro serve`` and experiment E16.
 """
 
 from repro.service.faults import (
-    FaultInjector,
     FaultPolicy,
     PerSourceGateway,
     SourceCrashedError,
-    SourceGateway,
     SourceLane,
     TransientSourceError,
 )
@@ -58,10 +57,8 @@ __all__ = [
     "ServiceResponse",
     "RequestStatus",
     "FaultPolicy",
-    "FaultInjector",
     "PerSourceGateway",
     "SourceCrashedError",
-    "SourceGateway",
     "SourceLane",
     "TransientSourceError",
     "MetricsRegistry",

@@ -1,32 +1,31 @@
 """Fault injection for source reads: latency, errors, staleness, outages.
 
 The scheduler never touches a registry snapshot's extensions directly; it
-*reads* them through a :class:`SourceGateway`, the seam standing in for the
-network fetch a real mediator performs against remote sources (the paper's
-§1.1 flaky web sources, §6 caches and mirrors). :class:`FaultInjector`
-wraps a gateway with a configurable :class:`FaultPolicy`:
+*reads* them, one source at a time, through a :class:`PerSourceGateway` —
+the seam standing in for the network fetch a real mediator performs
+against remote sources (the paper's §1.1 flaky web sources, §6 caches and
+mirrors). Every source gets its own :class:`SourceLane` carrying a
+:class:`FaultPolicy` and a seeded RNG, so one crashed or partitioned
+source fails only its own probe:
 
-* **latency** — every read sleeps (asyncio, so concurrent batches overlap);
-* **transient errors** — reads raise :class:`TransientSourceError` with a
-  configured probability, which the scheduler retries with exponential
-  backoff; a fault that outlives the retry budget surfaces as an explicit
-  ``ERROR`` response, never a crash;
-* **staleness** — reads occasionally return a *superseded* registry
-  snapshot (a stale mirror), visible to callers through the response's
-  ``snapshot_version``;
-* **crash** — reads raise :class:`SourceCrashedError` (a hard failure
+* **latency** — every probe sleeps (asyncio, so concurrent probes overlap);
+* **transient errors** — probes raise :class:`TransientSourceError` with a
+  configured probability, which the availability pass retries with
+  exponential backoff;
+* **crash** — probes raise :class:`SourceCrashedError` (a hard failure
   retries cannot fix: the process behind the source is gone);
-* **partition** — reads hang (the network path to the source is gone);
-  only a caller-side timeout gets control back.
+* **partition** — probes hang (the network path to the source is gone);
+  only the probe deadline gets control back.
 
-:class:`PerSourceGateway` splits the injector so every source (or source
-group) carries its *own* :class:`FaultPolicy` and its own seeded RNG — the
-substrate of ``repro.resilience``: circuit breakers probe sources
-individually through :meth:`SourceGateway.probe`, so one crashed or
-partitioned source degrades only itself, never the batch.
+**Staleness** is a property of the whole gateway, not of one lane: a
+per-source stale read would mix snapshot versions inside one batch. With
+``stale_rate`` on the gateway's default policy, the availability pass
+asks :meth:`PerSourceGateway.stale_snapshot` whether to answer the batch
+from an older retained snapshot (a stale mirror), visible to callers
+through the response's ``snapshot_version``.
 
-All randomness is seeded, so every degradation scenario in the tests and in
-E16/E22 is reproducible.
+All randomness is seeded by the gateway, so every degradation scenario in
+the tests and in E16/E22 is reproducible.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.service.registry import RegistrySnapshot, SourceRegistry
 from repro.sources.descriptor import SourceDescriptor
 
 #: How long a partitioned read hangs. Effectively forever next to any
-#: per-source timeout; finite so a caller that forgot one still returns.
+#: probe deadline; finite so a caller that forgot one still returns.
 PARTITION_HANG = 3600.0
 
 
@@ -65,14 +64,14 @@ class FaultPolicy:
     ``crash`` makes every read raise :class:`SourceCrashedError`;
     ``partition`` makes every read hang until the caller's timeout — the
     two hard outage modes the circuit breakers of ``repro.resilience``
-    are built to contain.
+    are built to contain. ``stale_rate`` counts only on a gateway's
+    default policy (staleness is gateway-wide).
     """
 
     latency: float = 0.0
     error_rate: float = 0.0
     stale_rate: float = 0.0
     error_burst: Optional[int] = None
-    seed: int = 0
     crash: bool = False
     partition: bool = False
 
@@ -94,94 +93,6 @@ class FaultPolicy:
             and not self.crash
             and not self.partition
         )
-
-
-class SourceGateway:
-    """The read seam: resolve the snapshot a batch will compute against.
-
-    The base gateway is the no-fault fast path — it returns the snapshot it
-    was handed. ``reads`` counts every call (the scheduler's retry loop
-    makes the count observable in metrics and tests).
-    """
-
-    def __init__(self):
-        self.reads = 0
-
-    async def read(self, snapshot: RegistrySnapshot) -> RegistrySnapshot:
-        self.reads += 1
-        return snapshot
-
-    async def probe(
-        self, snapshot: RegistrySnapshot, name: str
-    ) -> SourceDescriptor:
-        """Read one source of the snapshot (the per-source seam).
-
-        The base gateway always succeeds: it returns the named descriptor.
-        :class:`PerSourceGateway` overrides this with per-source fault
-        injection; the resilience layer's breakers call it one source at a
-        time so failures isolate.
-        """
-        self.reads += 1
-        return snapshot.collection.by_name(name)
-
-
-class FaultInjector(SourceGateway):
-    """A gateway that degrades reads according to a :class:`FaultPolicy`."""
-
-    def __init__(
-        self,
-        policy: FaultPolicy,
-        registry: Optional[SourceRegistry] = None,
-    ):
-        super().__init__()
-        self.policy = policy
-        self.registry = registry  # needed only for staleness injection
-        self.errors_injected = 0
-        self.stale_served = 0
-        self._rng = random.Random(policy.seed)
-
-    async def read(self, snapshot: RegistrySnapshot) -> RegistrySnapshot:
-        self.reads += 1
-        policy = self.policy
-        if policy.latency > 0:
-            await asyncio.sleep(policy.latency)
-        if policy.partition:
-            await asyncio.sleep(PARTITION_HANG)
-        if policy.crash:
-            raise SourceCrashedError(
-                f"injected source crash (read #{self.reads})"
-            )
-        if policy.error_rate > 0:
-            bursting = (
-                policy.error_burst is None
-                or self.errors_injected < policy.error_burst
-            )
-            if bursting and self._rng.random() < policy.error_rate:
-                self.errors_injected += 1
-                raise TransientSourceError(
-                    f"injected transient failure (read #{self.reads})"
-                )
-        if (
-            policy.stale_rate > 0
-            and self.registry is not None
-            and self._rng.random() < policy.stale_rate
-        ):
-            stale = self._pick_stale(snapshot)
-            if stale is not None:
-                self.stale_served += 1
-                return stale
-        return snapshot
-
-    def _pick_stale(
-        self, snapshot: RegistrySnapshot
-    ) -> Optional[RegistrySnapshot]:
-        """The newest retained snapshot strictly older than *snapshot*."""
-        older = [
-            v for v in self.registry.history_versions() if v < snapshot.version
-        ]
-        if not older:
-            return None
-        return self.registry.past_snapshot(max(older))
 
 
 class SourceLane:
@@ -247,28 +158,29 @@ class SourceLane:
         }
 
 
-class PerSourceGateway(SourceGateway):
-    """A gateway whose fault injection is split per source.
+class PerSourceGateway:
+    """The read seam: every source behind its own fault lane.
 
     Each source name resolves to a :class:`SourceLane` holding its own
     policy and seeded RNG; sources without an explicit policy share
-    *default* (but still get their own lane and RNG stream, so flipping
-    one source's policy mid-run never perturbs another's randomness).
-    Policies are swappable at runtime (:meth:`set_policy` /
-    :meth:`heal`) — the mutation surface the chaos runner drives.
+    *default* (healthy unless given) but still get their own lane and RNG
+    stream, so flipping one source's policy mid-run never perturbs
+    another's randomness. Policies are swappable at runtime
+    (:meth:`set_policy` / :meth:`heal`) — the mutation surface the chaos
+    runner drives. ``reads`` counts every probe.
     """
 
     def __init__(
         self,
         default: Optional[FaultPolicy] = None,
         policies: Optional[Dict[str, FaultPolicy]] = None,
-        registry: Optional[SourceRegistry] = None,
         seed: int = 0,
     ):
-        super().__init__()
         self.default = default if default is not None else FaultPolicy()
-        self.registry = registry
         self.seed = seed
+        self.reads = 0
+        self.stale_served = 0
+        self._rng = random.Random(seed)  # the gateway-wide staleness stream
         self._lanes: Dict[str, SourceLane] = {}
         for name, policy in (policies or {}).items():
             self._lanes[name] = SourceLane(name, policy, seed)
@@ -295,19 +207,6 @@ class PerSourceGateway(SourceGateway):
 
     # -- reads -------------------------------------------------------------------
 
-    async def read(self, snapshot: RegistrySnapshot) -> RegistrySnapshot:
-        """Whole-snapshot read: every source's lane must pass.
-
-        The batch path of schedulers running *without* a resilience layer:
-        equivalent to probing each source sequentially, so a single crashed
-        source fails the whole read — exactly the coupling the per-source
-        breakers exist to remove.
-        """
-        self.reads += 1
-        for source in snapshot.collection:
-            await self.lane(source.name).pass_through()
-        return snapshot
-
     async def probe(
         self, snapshot: RegistrySnapshot, name: str
     ) -> SourceDescriptor:
@@ -316,6 +215,25 @@ class PerSourceGateway(SourceGateway):
         await self.lane(name).pass_through()
         return snapshot.collection.by_name(name)
 
+    def stale_snapshot(
+        self, snapshot: RegistrySnapshot, registry: SourceRegistry
+    ) -> Optional[RegistrySnapshot]:
+        """The stale mirror's answer for a batch pinned to *snapshot*.
+
+        One seeded coin flip against the default policy's ``stale_rate``
+        per availability pass; on heads, the newest snapshot *registry*
+        retains that is strictly older than *snapshot* (None on tails or
+        when no older version is retained).
+        """
+        rate = self.default.stale_rate
+        if rate == 0 or self._rng.random() >= rate:
+            return None
+        older = [v for v in registry.history_versions() if v < snapshot.version]
+        if not older:
+            return None
+        self.stale_served += 1
+        return registry.past_snapshot(max(older))
+
     def stats(self) -> Dict[str, object]:
-        """Per-lane counters (the gateway section of ``stats()``)."""
+        """Per-lane counters (the ``lanes`` of the gateway's ``stats()``)."""
         return {name: lane.counters() for name, lane in sorted(self._lanes.items())}

@@ -1,4 +1,4 @@
-"""Admission, batching, deadlines, retries: the service's event loop.
+"""Admission, batching, deadlines, source reads: the service's event loop.
 
 One asyncio worker drains a bounded admission queue. The control flow per
 iteration:
@@ -16,16 +16,15 @@ iteration:
 3. **expire** — requests whose deadline passed while queued are answered
    ``TIMEOUT`` before any work is spent on them; deadlines are re-checked
    after compute so a slow read never converts into a silently late answer.
-4. **read & retry** — the batch's snapshot is resolved through the source
-   gateway (the fault-injection seam) with exponential backoff (plus
-   seeded jitter) on :class:`~repro.service.faults.TransientSourceError`;
-   the retry loop never sleeps past the batch's earliest request deadline,
-   and a read that outlives the budget fails the batch with explicit
-   ``ERROR`` responses. With a :class:`ResilienceConfig` set, the whole-
-   batch read is replaced by the per-source availability pass of
-   :class:`~repro.resilience.manager.ResilienceManager`: circuit breakers,
-   per-source timeouts, hedged probes — unavailable sources are *excluded*
-   rather than failing the batch.
+4. **read** — the batch's sources are read through the availability pass
+   of :class:`~repro.resilience.manager.ResilienceManager`, the one
+   source-read path: circuit breakers, one probe deadline (never past the
+   batch's earliest request deadline), retries with seeded-jitter backoff
+   on :class:`~repro.service.faults.TransientSourceError`, hedged probes.
+   The config's ``resilience`` decides what a lost source costs: under the
+   default :data:`~repro.resilience.manager.STRICT` preset the batch fails
+   with explicit ``ERROR`` responses naming it; a degrading config
+   *excludes* it instead.
 5. **compute & resolve** — exact confidences from the snapshot's engine;
    when sources were excluded, the engine runs over the snapshot with
    those annotations demoted (``repro.resilience.degrade``) and responses
@@ -42,7 +41,6 @@ transitions) and the :class:`Tracer` (per-batch ``source_read`` /
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -52,8 +50,8 @@ from repro.model.atoms import Atom
 from repro.model.database import GlobalDatabase
 from repro.confidence.engine import ConfidenceEngine
 from repro.confidence.engine.memo import LRUMemo
-from repro.resilience.manager import ResilienceConfig, ResilienceManager
-from repro.service.faults import SourceGateway, TransientSourceError
+from repro.resilience.manager import STRICT, ResilienceConfig, ResilienceManager
+from repro.service.faults import PerSourceGateway
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import RegistrySnapshot, SourceRegistry
 from repro.service.requests import (
@@ -80,15 +78,14 @@ class SchedulerConfig:
     ``max_batch = 1`` disables micro-batching (per-request dispatch, the
     E16 baseline); ``batch_window`` is how long the worker lingers for
     batch-mates once it holds a request — zero means "batch only what is
-    already queued".
+    already queued". ``resilience`` configures the availability pass every
+    batch reads its sources through (attempt budget, backoff, timeouts,
+    breakers, and whether a lost source fails or degrades the batch).
     """
 
     max_queue: int = 256
     max_batch: int = 16
     batch_window: float = 0.002
-    max_attempts: int = 3
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.25
     engine_workers: int = 0
     #: memo capacity per engine when the scheduler has no explicit memo
     #: (None = process-wide shared memo, 0 = memoization off — E16's ablation)
@@ -97,28 +94,15 @@ class SchedulerConfig:
     shards: int = 1
     #: worker processes for scatter-gather fragments (0/1 = serial)
     shard_workers: int = 0
-    #: fraction of extra seeded jitter on each retry delay (0 = none);
-    #: delay_j = backoff(a) · (1 + U[0,1) · backoff_jitter)
-    backoff_jitter: float = 0.0
-    backoff_seed: int = 0
-    #: per-source availability layer; None = legacy whole-batch reads
-    resilience: Optional[ResilienceConfig] = None
+    resilience: ResilienceConfig = STRICT
 
     def __post_init__(self):
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be >= 0")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry *attempt* (1-based): base·2^(a−1), capped."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
 
 
 class RequestScheduler:
@@ -127,14 +111,14 @@ class RequestScheduler:
     def __init__(
         self,
         registry: SourceRegistry,
-        gateway: Optional[SourceGateway] = None,
+        gateway: Optional[PerSourceGateway] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         config: Optional[SchedulerConfig] = None,
         memo: Optional[LRUMemo] = None,
     ):
         self.registry = registry
-        self.gateway = gateway if gateway is not None else SourceGateway()
+        self.gateway = gateway if gateway is not None else PerSourceGateway()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.config = config if config is not None else SchedulerConfig()
@@ -151,12 +135,10 @@ class RequestScheduler:
         self._certain_dbs: Dict[Tuple[int, FrozenSet[str]], GlobalDatabase] = {}
         self._shard_executors: Dict[Tuple[int, FrozenSet[str]], object] = {}
         self._weakened: Dict[Tuple[int, FrozenSet[str]], RegistrySnapshot] = {}
-        self._backoff_rng = random.Random(self.config.backoff_seed)
-        self.resilience: Optional[ResilienceManager] = None
-        if self.config.resilience is not None:
-            self.resilience = ResilienceManager(
-                self.config.resilience, metrics=self.metrics
-            )
+        self.resilience = ResilienceManager(
+            self.config.resilience, metrics=self.metrics,
+            registry=registry, seed=self.gateway.seed,
+        )
         self._running = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -337,42 +319,38 @@ class RequestScheduler:
             return
         self.metrics.histogram("batch_size").observe(len(live))
         snapshot = live[0][1]
-        deadline = self._batch_deadline(live)
         with self.tracer.span(
             "batch", version=snapshot.version, size=len(live)
         ) as span:
             try:
-                if self.resilience is not None:
+                with span.child(
+                    "source_read", version=snapshot.version
+                ) as read_span:
                     report = await self.resilience.resolve(
-                        snapshot, self.gateway
+                        snapshot, self.gateway, self._batch_deadline(live)
                     )
-                    resolved, attempts = snapshot, 1
-                    excluded = frozenset(report.excluded)
-                    if excluded:
-                        self.metrics.counter("degraded_batches").inc()
-                        span.attributes["excluded_sources"] = sorted(excluded)
-                else:
-                    resolved, attempts = await self._read_with_retry(
-                        snapshot, span, deadline
+                    read_span.attributes.update(
+                        probed=report.probed,
+                        excluded=sorted(report.lost),
+                        retries=report.retries,
                     )
-                    excluded = NO_EXCLUSIONS
+                if report.lost and not self.config.resilience.degrade:
+                    self._fail(live, report.reason(), "source read")
+                    return
+                resolved = report.snapshot
+                excluded = frozenset(report.lost)
+                if excluded:
+                    self.metrics.counter("degraded_batches").inc()
+                    span.attributes["excluded_sources"] = sorted(excluded)
                 confidences = self._compute(resolved, live, span, excluded)
                 answers, downgraded = self._answer_queries(
                     resolved, live, span, excluded
                 )
-            except ReproError as exc:
-                now = loop.time()
-                for request, _snapshot, future in live:
-                    self._resolve(
-                        request, future,
-                        ServiceResponse(
-                            request.request_id, RequestStatus.ERROR,
-                            reason=str(exc),
-                            snapshot_version=snapshot.version,
-                            latency=now - request.submitted_at,
-                            batch_size=len(live),
-                        ),
-                    )
+            except Exception as exc:  # answer the batch, keep the worker
+                reason = str(exc)
+                if not isinstance(exc, ReproError):
+                    reason = f"internal error ({type(exc).__name__}): {exc}"
+                self._fail(live, reason, "computation")
                 return
             now = loop.time()
             for request, _snapshot, future in live:
@@ -383,7 +361,7 @@ class RequestScheduler:
                         snapshot_version=resolved.version,
                         latency=now - request.submitted_at,
                         batch_size=len(live),
-                        attempts=attempts,
+                        attempts=report.attempts,
                     )
                 else:
                     response = ServiceResponse(
@@ -394,7 +372,7 @@ class RequestScheduler:
                         snapshot_version=resolved.version,
                         latency=now - request.submitted_at,
                         batch_size=len(live),
-                        attempts=attempts,
+                        attempts=report.attempts,
                         answers=answers.get(request.request_id, ()),
                         degraded=bool(excluded),
                         excluded_sources=tuple(sorted(excluded)),
@@ -405,6 +383,28 @@ class RequestScheduler:
                     )
                 self._resolve(request, future, response)
 
+    def _fail(self, live, reason: str, stage: str) -> None:
+        """Answer a batch that cannot be served: ``TIMEOUT`` for requests
+        whose deadline passed during *stage*, ``ERROR`` with *reason* for
+        the rest."""
+        now = asyncio.get_running_loop().time()
+        for request, snapshot, future in live:
+            if request.expired(now):
+                status = RequestStatus.TIMEOUT
+                why = f"deadline expired during {stage}"
+            else:
+                status, why = RequestStatus.ERROR, reason
+            self._resolve(
+                request, future,
+                ServiceResponse(
+                    request.request_id, status,
+                    reason=why,
+                    snapshot_version=snapshot.version,
+                    latency=now - request.submitted_at,
+                    batch_size=len(live),
+                ),
+            )
+
     @staticmethod
     def _batch_deadline(live) -> Optional[float]:
         """The batch's earliest absolute deadline (None = unbounded)."""
@@ -413,43 +413,6 @@ class RequestScheduler:
             if request.deadline is not None
         ]
         return min(deadlines) if deadlines else None
-
-    async def _read_with_retry(self, snapshot, span, deadline=None):
-        """Resolve the batch's snapshot through the gateway, with backoff.
-
-        The delay before each retry carries seeded jitter
-        (``config.backoff_jitter``) so synchronized batches do not retry
-        in lockstep, and the loop never sleeps past *deadline* (the
-        batch's earliest request deadline): a backoff that would overrun
-        it fails fast with :class:`TransientSourceError` instead — the
-        caller turns that into structured ``ERROR`` responses, never an
-        unhandled exception or a guaranteed-late answer.
-        """
-        config = self.config
-        loop = asyncio.get_running_loop()
-        for attempt in range(1, config.max_attempts + 1):
-            try:
-                with span.child(
-                    "source_read", version=snapshot.version, attempt=attempt
-                ):
-                    resolved = await self.gateway.read(snapshot)
-                return resolved, attempt
-            except TransientSourceError:
-                self.metrics.counter("source_read_retries").inc()
-                if attempt == config.max_attempts:
-                    raise
-                delay = config.backoff(attempt)
-                if config.backoff_jitter > 0:
-                    delay *= 1.0 + config.backoff_jitter * self._backoff_rng.random()
-                if deadline is not None and loop.time() + delay > deadline:
-                    self.metrics.counter("retry_budget_exhausted").inc()
-                    raise TransientSourceError(
-                        f"retry budget exhausted after attempt {attempt}: "
-                        f"backing off {delay:.3f}s would overrun the "
-                        "batch's earliest deadline"
-                    )
-                await asyncio.sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def _compute(
         self, snapshot: RegistrySnapshot, live, span,

@@ -8,9 +8,9 @@ flight*. It owns:
 * a :class:`~repro.service.registry.SourceRegistry` (versioned, COW
   snapshots; mutations incrementally invalidate the engine memo),
 * a :class:`~repro.service.scheduler.RequestScheduler` (bounded admission,
-  deadlines, micro-batching, retry/backoff),
-* a :class:`~repro.service.faults.SourceGateway` (optionally a
-  :class:`FaultInjector`) as the source-read seam,
+  deadlines, micro-batching, the per-source availability pass),
+* a :class:`~repro.service.faults.PerSourceGateway` (healthy unless told
+  otherwise) as the source-read seam,
 * a :class:`~repro.service.metrics.MetricsRegistry` and
   :class:`~repro.service.tracing.Tracer`, merged into one :meth:`stats`
   snapshot (the scrape surface of ``python -m repro serve``).
@@ -33,12 +33,7 @@ from repro.cache import cache_registry
 from repro.sources.collection import SourceCollection
 from repro.sources.descriptor import SourceDescriptor
 from repro.confidence.engine.memo import LRUMemo, shared_memo
-from repro.service.faults import (
-    FaultInjector,
-    FaultPolicy,
-    PerSourceGateway,
-    SourceGateway,
-)
+from repro.service.faults import PerSourceGateway
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import (
     RegistryDiff,
@@ -59,25 +54,15 @@ class MediatorService:
         domain: Sequence = (),
         *,
         config: Optional[SchedulerConfig] = None,
-        fault_policy: Optional[FaultPolicy] = None,
         memo: Optional[LRUMemo] = None,
-        gateway: Optional[SourceGateway] = None,
+        gateway: Optional[PerSourceGateway] = None,
     ):
         sources = tuple(collection) if collection is not None else ()
         self.registry = SourceRegistry(sources, domain)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.memo = memo if memo is not None else shared_memo()
-        if gateway is not None:
-            # An explicit gateway (e.g. PerSourceGateway under a chaos
-            # schedule) wins over the whole-read fault policy.
-            self.gateway = gateway
-        elif fault_policy is not None:
-            self.gateway = FaultInjector(
-                fault_policy, registry=self.registry
-            )
-        else:
-            self.gateway = SourceGateway()
+        self.gateway = gateway if gateway is not None else PerSourceGateway()
         self.scheduler = RequestScheduler(
             self.registry,
             gateway=self.gateway,
@@ -196,26 +181,13 @@ class MediatorService:
              "shard": {shards, workers, counters},
              "cache": {budget_bytes, bytes, hits, misses, evictions,
                        invalidations, caches: {name: {...}}},
-             "resilience": {sources, transitions, config}}   # when enabled
+             "resilience": {sources, transitions, config}}
         """
         from repro.plan import plan_stats
         from repro.shard import shard_stats
 
         snapshot = self.registry.snapshot()
-        gateway: Dict[str, object] = {"reads": self.gateway.reads}
-        if isinstance(self.gateway, FaultInjector):
-            gateway.update(
-                faults={
-                    "latency": self.gateway.policy.latency,
-                    "error_rate": self.gateway.policy.error_rate,
-                    "stale_rate": self.gateway.policy.stale_rate,
-                },
-                errors_injected=self.gateway.errors_injected,
-                stale_served=self.gateway.stale_served,
-            )
-        elif isinstance(self.gateway, PerSourceGateway):
-            gateway.update(lanes=self.gateway.stats())
-        out = {
+        return {
             "registry": {
                 "version": snapshot.version,
                 "sources": len(snapshot.collection),
@@ -223,7 +195,11 @@ class MediatorService:
                 "retained_versions": self.registry.history_versions(),
             },
             "metrics": self.metrics.snapshot(),
-            "gateway": gateway,
+            "gateway": {
+                "reads": self.gateway.reads,
+                "stale_served": self.gateway.stale_served,
+                "lanes": self.gateway.stats(),
+            },
             "tracing": {
                 "spans_started": self.tracer.spans_started,
                 "spans_dropped": self.tracer.spans_dropped,
@@ -236,10 +212,8 @@ class MediatorService:
                 "counters": shard_stats(),
             },
             "cache": cache_registry().stats(),
+            "resilience": self.scheduler.resilience.stats(),
         }
-        if self.scheduler.resilience is not None:
-            out["resilience"] = self.scheduler.resilience.stats()
-        return out
 
     def recent_spans(self) -> List[Dict[str, object]]:
         return self.tracer.export()

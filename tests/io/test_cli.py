@@ -173,6 +173,27 @@ class TestErrorPaths:
         ) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--source-timeout-ms", "0"],
+            ["--fault-error-rate", "1.5"],
+            ["--backoff-jitter", "-1"],
+            ["--resilience", "--breaker-threshold", "0"],
+            ["--resilience", "--breaker-threshold", "1.5"],
+        ],
+    )
+    def test_bad_serve_option(self, collection_file, capsys, flags):
+        assert main(
+            [
+                "serve", collection_file,
+                "--domain", "a,b,c,d1", "--requests", "2", *flags,
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestStatsJson:
     def test_stats_emits_machine_readable_line(self, collection_file, capsys):
@@ -219,8 +240,8 @@ class TestServe:
         out = capsys.readouterr().out.strip()
         snapshot = json.loads(out)  # the whole stdout is one JSON document
         assert set(snapshot) == {
-            "cache", "gateway", "metrics", "plan", "registry", "shard",
-            "tracing",
+            "cache", "gateway", "metrics", "plan", "registry", "resilience",
+            "shard", "tracing",
         }
         assert "caches" in snapshot["cache"]
 
@@ -245,6 +266,28 @@ class TestServe:
         assert main(["serve", path, "--domain", "a,b"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "identity-view" in err
+
+    def test_fault_flags_combine_with_resilience_and_chaos(
+        self, collection_file, capsys
+    ):
+        import json
+
+        assert main(
+            [
+                "serve", collection_file, "--domain", "a,b,c,d1",
+                "--requests", "12", "--fault-error-rate", "0.3",
+                "--resilience", "--chaos", "0:S2:crash", "--seed", "7",
+                "--json",
+            ]
+        ) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        lanes = snapshot["gateway"]["lanes"]
+        assert lanes["S1"]["policy"]["error_rate"] == 0.3  # --fault-* default
+        assert lanes["S2"]["policy"]["crash"]              # chaos override
+        assert snapshot["resilience"]["config"]["degrade"] is True
+        counters = snapshot["metrics"]["counters"]
+        assert counters["responses_ok"] == 12
+        assert counters["degraded_batches"] >= 1
 
     def test_bad_request_count_rejected(self, collection_file, capsys):
         assert main(

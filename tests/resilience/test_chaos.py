@@ -73,7 +73,7 @@ def test_same_schedule_same_seed_is_bit_deterministic():
     def trace(seed):
         gateway = PerSourceGateway(seed=seed)
         runner = ChaosRunner(
-            gateway, ChaosSchedule.parse("0:S1:error:0.5", seed=seed)
+            gateway, ChaosSchedule.parse("0:S1:error:0.5")
         )
         runner.advance(0.0)
         lane = gateway.lane("S1")

@@ -4,10 +4,12 @@ import asyncio
 
 import pytest
 
+from repro.model import fact
 from repro.service import (
-    FaultInjector,
     FaultPolicy,
+    MediatorService,
     PerSourceGateway,
+    RequestStatus,
     SourceCrashedError,
     SourceRegistry,
     TransientSourceError,
@@ -28,25 +30,23 @@ def run(coro):
 
 
 def test_crash_policy_raises_source_crashed():
-    injector = FaultInjector(FaultPolicy(crash=True))
+    gateway = PerSourceGateway(default=FaultPolicy(crash=True))
     with pytest.raises(SourceCrashedError):
-        run(injector.read(snapshot()))
+        run(gateway.probe(snapshot(), "S1"))
 
 
 def test_partition_policy_hangs_past_any_reasonable_timeout():
-    injector = FaultInjector(FaultPolicy(partition=True))
+    gateway = PerSourceGateway(default=FaultPolicy(partition=True))
 
     async def attempt():
         with pytest.raises(asyncio.TimeoutError):
-            await asyncio.wait_for(injector.read(snapshot()), timeout=0.05)
+            await asyncio.wait_for(gateway.probe(snapshot(), "S1"), timeout=0.05)
 
     run(attempt())
 
 
-def test_base_gateway_probe_returns_descriptor():
-    from repro.service import SourceGateway
-
-    gateway = SourceGateway()
+def test_healthy_gateway_probe_returns_descriptor():
+    gateway = PerSourceGateway()
     snap = snapshot()
     descriptor = run(gateway.probe(snap, "S1"))
     assert descriptor.name == "S1"
@@ -67,13 +67,23 @@ def test_per_source_gateway_isolates_fault_to_one_lane():
     assert counters["S2"]["crashes"] == 1
 
 
-def test_whole_read_fails_when_any_lane_is_down():
-    # The coupling the resilience layer removes: without it, one crashed
-    # source fails the entire batch read.
+def test_default_preset_fails_the_batch_when_any_lane_is_down():
+    # Without a degrading config, one crashed source fails the whole
+    # batch: a structured ERROR naming the source, not a demotion.
     gateway = PerSourceGateway()
     gateway.set_policy("S2", FaultPolicy(crash=True))
-    with pytest.raises(SourceCrashedError):
-        run(gateway.read(snapshot()))
+
+    async def scenario():
+        async with MediatorService(
+            make_example51_collection(), example51_domain(1), gateway=gateway
+        ) as service:
+            return await service.confidence([fact("R", "a")], timeout=1.0)
+
+    response = run(scenario())
+    assert response.status is RequestStatus.ERROR
+    assert "'S2' unavailable" in response.reason
+    assert "crashed" in response.reason
+    assert not response.degraded
 
 
 def test_heal_clears_the_policy_but_keeps_the_lane():

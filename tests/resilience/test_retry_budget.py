@@ -1,18 +1,24 @@
 """Retry/backoff hardening: budget caps, seeded jitter, structured errors.
 
-Satellite of the resilience PR: a retry loop that would sleep past the
-batch's earliest deadline must fail *fast* with a structured ``ERROR``
-response — never an unhandled exception, never a guaranteed-late answer.
+A probe's retry loop that would sleep past the batch's earliest deadline
+must fail *fast* with a structured ``ERROR`` response — never an unhandled
+exception, never a guaranteed-late answer. Each scenario faults one lane
+(S1) of the gateway; under the default all-or-nothing preset its loss
+fails the batch.
 """
 
 import asyncio
+import random
+from dataclasses import replace
 
 import pytest
 
 from repro.model import fact
+from repro.resilience import STRICT
 from repro.service import (
     FaultPolicy,
     MediatorService,
+    PerSourceGateway,
     RequestStatus,
     SchedulerConfig,
 )
@@ -26,6 +32,17 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+def strict(**retry):
+    """The default preset with *retry* knobs and no batching window."""
+    return SchedulerConfig(batch_window=0.0, resilience=replace(STRICT, **retry))
+
+
+def always_failing_s1():
+    gateway = PerSourceGateway(seed=11)
+    gateway.set_policy("S1", FaultPolicy(error_rate=1.0))
+    return gateway
+
+
 def test_exhausted_attempts_surface_structured_error():
     """error_rate=1.0: every attempt fails; the caller gets ERROR, not a
     traceback out of the worker."""
@@ -33,10 +50,8 @@ def test_exhausted_attempts_surface_structured_error():
     async def scenario():
         service = MediatorService(
             make_example51_collection(), DOMAIN,
-            config=SchedulerConfig(
-                max_attempts=2, backoff_base=0.001, batch_window=0.0
-            ),
-            fault_policy=FaultPolicy(error_rate=1.0, seed=11),
+            config=strict(max_attempts=2, backoff_base=0.001),
+            gateway=always_failing_s1(),
         )
         async with service:
             response = await service.confidence(
@@ -57,13 +72,12 @@ def test_retry_budget_capped_by_request_deadline():
     async def scenario():
         service = MediatorService(
             make_example51_collection(), DOMAIN,
-            config=SchedulerConfig(
+            config=strict(
                 max_attempts=5,
                 backoff_base=10.0,   # any retry sleep dwarfs the deadline
                 backoff_cap=10.0,
-                batch_window=0.0,
             ),
-            fault_policy=FaultPolicy(error_rate=1.0, seed=11),
+            gateway=always_failing_s1(),
         )
         async with service:
             response = await service.confidence(
@@ -85,10 +99,8 @@ def test_unbounded_requests_still_retry_to_exhaustion():
     async def scenario():
         service = MediatorService(
             make_example51_collection(), DOMAIN,
-            config=SchedulerConfig(
-                max_attempts=3, backoff_base=0.001, batch_window=0.0
-            ),
-            fault_policy=FaultPolicy(error_rate=1.0, seed=11),
+            config=strict(max_attempts=3, backoff_base=0.001),
+            gateway=always_failing_s1(),
         )
         async with service:
             response = await service.confidence([fact("R", "a")])
@@ -102,20 +114,18 @@ def test_unbounded_requests_still_retry_to_exhaustion():
 
 def test_jitter_is_seeded_and_bounded():
     """Jittered delays stay inside [backoff, backoff·(1+jitter)] and replay
-    identically for the same backoff_seed."""
+    identically for the same seed."""
 
     def delays(seed, n=8):
-        import random
-
-        config = SchedulerConfig(backoff_jitter=0.5, backoff_seed=seed)
-        rng = random.Random(config.backoff_seed)
+        config = replace(STRICT, backoff_jitter=0.5)
+        rng = random.Random(seed)
         out = []
         for attempt in range(1, n + 1):
             delay = config.backoff(attempt)
             out.append(delay * (1.0 + config.backoff_jitter * rng.random()))
         return out
 
-    base = SchedulerConfig(backoff_jitter=0.5)
+    base = replace(STRICT, backoff_jitter=0.5)
     for attempt, delay in enumerate(delays(7), start=1):
         floor = base.backoff(attempt)
         assert floor <= delay <= floor * 1.5
@@ -123,14 +133,35 @@ def test_jitter_is_seeded_and_bounded():
     assert delays(7) != delays(8)
 
 
+def test_probe_retries_sleep_the_jittered_backoff():
+    """A faulty lane's retries wait out backoff(a)·(1 + U·jitter) inside
+    the probe before the attempt that succeeds."""
+    gateway = PerSourceGateway(seed=3)
+    gateway.set_policy("S1", FaultPolicy(error_rate=1.0, error_burst=2))
+
+    async def scenario():
+        service = MediatorService(
+            make_example51_collection(), DOMAIN,
+            config=strict(max_attempts=3, backoff_base=0.02, backoff_jitter=1.0),
+            gateway=gateway,
+        )
+        async with service:
+            return await service.confidence([fact("R", "a")])
+
+    response = run(scenario())
+    assert response.ok and response.attempts == 3
+    # Two retries: 0.02·(1+U) + 0.04·(1+U) >= 0.06.
+    assert response.latency >= 0.06
+
+
 def test_jitter_config_validation():
     with pytest.raises(ValueError):
-        SchedulerConfig(backoff_jitter=-0.1)
-    assert SchedulerConfig(backoff_jitter=0.0).backoff_jitter == 0.0
+        replace(STRICT, backoff_jitter=-0.1)
+    assert replace(STRICT, backoff_jitter=0.0).backoff_jitter == 0.0
 
 
 def test_backoff_schedule_is_exponential_and_capped():
-    config = SchedulerConfig(backoff_base=0.01, backoff_cap=0.05)
+    config = replace(STRICT, backoff_base=0.01, backoff_cap=0.05)
     assert [config.backoff(a) for a in range(1, 6)] == [
         0.01, 0.02, 0.04, 0.05, 0.05,
     ]

@@ -282,7 +282,7 @@ class TestHedgedProbes:
                 make_example51_collection(), DOMAIN,
                 config=SchedulerConfig(
                     resilience=ResilienceConfig(
-                        source_timeout=0.5, hedge_delay=0.002, max_hedges=2,
+                        source_timeout=0.5, hedge_delay=0.002, max_attempts=3,
                         **{
                             k: v for k, v in FAST.items()
                             if k not in ("source_timeout",)
@@ -300,3 +300,24 @@ class TestHedgedProbes:
         response, stats = run(scenario())
         assert response.ok and not response.degraded
         assert stats["metrics"]["counters"]["source_hedges"] >= 1
+
+
+class TestBreakerConfigGuard:
+    def test_invalid_breaker_threshold_cannot_hang_the_service(self):
+        """A breaker threshold outside (0, 1] is refused when the config is
+        built; it never reaches the batch worker, where building the first
+        breaker would kill the worker and leave every caller waiting."""
+
+        async def scenario():
+            try:
+                config = resilient_config(error_threshold=0)
+            except ValueError:
+                return "rejected"
+            async with MediatorService(
+                make_example51_collection(), DOMAIN, config=config
+            ) as service:
+                return await asyncio.wait_for(
+                    service.confidence([fact("R", "a")], timeout=0.5), 3.0
+                )
+
+        assert run(scenario()) == "rejected"

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
+from repro.model import fact
 from repro.service import (
-    FaultInjector,
     FaultPolicy,
-    SourceGateway,
+    MediatorService,
+    PerSourceGateway,
     SourceRegistry,
     TransientSourceError,
 )
@@ -20,6 +21,13 @@ DOMAIN = ["a", "b", "c", "d"]
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def one_faulty_lane(policy, seed=0):
+    """A gateway whose S1 lane carries *policy*; S2 stays healthy."""
+    gateway = PerSourceGateway(seed=seed)
+    gateway.set_policy("S1", policy)
+    return gateway
 
 
 class TestPolicyValidation:
@@ -43,15 +51,15 @@ class TestPolicyValidation:
             FaultPolicy(**kwargs)
 
 
-class TestBaseGateway:
-    def test_read_returns_snapshot_and_counts(self):
+class TestHealthyGateway:
+    def test_probe_returns_descriptor_and_counts(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        gateway = SourceGateway()
+        gateway = PerSourceGateway()
         snapshot = registry.snapshot()
 
         async def scenario():
-            assert await gateway.read(snapshot) is snapshot
-            assert await gateway.read(snapshot) is snapshot
+            assert (await gateway.probe(snapshot, "S1")).name == "S1"
+            assert (await gateway.probe(snapshot, "S2")).name == "S2"
 
         run(scenario())
         assert gateway.reads == 2
@@ -60,46 +68,44 @@ class TestBaseGateway:
 class TestErrorInjection:
     def test_error_rate_one_always_raises(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(FaultPolicy(error_rate=1.0, seed=3))
+        gateway = one_faulty_lane(FaultPolicy(error_rate=1.0), seed=3)
 
         async def scenario():
             with pytest.raises(TransientSourceError, match="injected"):
-                await injector.read(registry.snapshot())
+                await gateway.probe(registry.snapshot(), "S1")
 
         run(scenario())
-        assert injector.errors_injected == 1
+        assert gateway.lane("S1").errors_injected == 1
 
     def test_error_burst_recovers(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(
-            FaultPolicy(error_rate=1.0, error_burst=2, seed=3)
+        gateway = one_faulty_lane(
+            FaultPolicy(error_rate=1.0, error_burst=2), seed=3
         )
 
         async def scenario():
             failures = 0
             for _ in range(5):
                 try:
-                    await injector.read(registry.snapshot())
+                    await gateway.probe(registry.snapshot(), "S1")
                 except TransientSourceError:
                     failures += 1
             return failures
 
         assert run(scenario()) == 2
-        assert injector.errors_injected == 2
+        assert gateway.lane("S1").errors_injected == 2
 
     def test_seed_makes_injection_deterministic(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
 
         def outcomes(seed):
-            injector = FaultInjector(
-                FaultPolicy(error_rate=0.5, seed=seed)
-            )
+            gateway = one_faulty_lane(FaultPolicy(error_rate=0.5), seed=seed)
 
             async def scenario():
                 pattern = []
                 for _ in range(16):
                     try:
-                        await injector.read(registry.snapshot())
+                        await gateway.probe(registry.snapshot(), "S1")
                         pattern.append("ok")
                     except TransientSourceError:
                         pattern.append("err")
@@ -114,11 +120,11 @@ class TestErrorInjection:
 class TestLatency:
     def test_latency_delays_read(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(FaultPolicy(latency=0.03))
+        gateway = one_faulty_lane(FaultPolicy(latency=0.03))
 
         async def scenario():
             start = time.perf_counter()
-            await injector.read(registry.snapshot())
+            await gateway.probe(registry.snapshot(), "S1")
             return time.perf_counter() - start
 
         assert run(scenario()) >= 0.025
@@ -130,26 +136,34 @@ class TestStaleness:
         source = registry.snapshot().collection.by_name("S1")
         registry.update(source.with_bounds(soundness_bound=1))
         assert registry.version() == 1
-        injector = FaultInjector(
-            FaultPolicy(stale_rate=1.0, seed=0), registry=registry
-        )
+        gateway = PerSourceGateway(default=FaultPolicy(stale_rate=1.0))
 
-        async def scenario():
-            return await injector.read(registry.snapshot())
-
-        stale = run(scenario())
+        stale = gateway.stale_snapshot(registry.snapshot(), registry)
         assert stale.version == 0
-        assert injector.stale_served == 1
+        assert gateway.stale_served == 1
 
     def test_stale_rate_without_history_is_identity(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(
-            FaultPolicy(stale_rate=1.0, seed=0), registry=registry
-        )
+        gateway = PerSourceGateway(default=FaultPolicy(stale_rate=1.0))
+
+        assert gateway.stale_snapshot(registry.snapshot(), registry) is None
+        assert gateway.stale_served == 0
+
+    def test_service_answers_from_the_stale_version(self):
+        """The availability pass resolves the whole batch to the stale
+        mirror's snapshot, and the response reports that version."""
+        gateway = PerSourceGateway(default=FaultPolicy(stale_rate=1.0))
 
         async def scenario():
-            snapshot = registry.snapshot()
-            assert await injector.read(snapshot) is snapshot
+            service = MediatorService(
+                make_example51_collection(), DOMAIN, gateway=gateway
+            )
+            source = service.registry.snapshot().collection.by_name("S1")
+            service.update_source(source.with_bounds(soundness_bound=1))
+            async with service:
+                return await service.confidence([fact("R", "a")])
 
-        run(scenario())
-        assert injector.stale_served == 0
+        response = run(scenario())
+        assert response.ok
+        assert response.snapshot_version == 0
+        assert gateway.stale_served == 1

@@ -1,14 +1,16 @@
 """Admission, micro-batching, deadlines, retry/backoff, shutdown."""
 
 import asyncio
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from repro.model import fact
+from repro.resilience import STRICT, ResilienceConfig
 from repro.service import (
-    FaultInjector,
     FaultPolicy,
+    PerSourceGateway,
     RequestScheduler,
     RequestStatus,
     SchedulerConfig,
@@ -22,11 +24,17 @@ R_A, R_B, R_C = fact("R", "a"), fact("R", "b"), fact("R", "c")
 
 
 def make_scheduler(config=None, policy=None, registry=None):
+    """A scheduler whose gateway faults one lane (S1) with *policy*."""
     registry = registry or SourceRegistry(make_example51_collection(), DOMAIN)
-    gateway = None
+    gateway = PerSourceGateway(seed=1)
     if policy is not None:
-        gateway = FaultInjector(policy, registry=registry)
+        gateway.set_policy("S1", policy)
     return RequestScheduler(registry, gateway=gateway, config=config)
+
+
+def retrying(**retry):
+    """The default all-or-nothing preset with *retry* knobs."""
+    return SchedulerConfig(resilience=replace(STRICT, **retry))
 
 
 def run(coroutine):
@@ -179,7 +187,7 @@ class TestDeadlines:
         # only the first request's batch computed.
         assert scheduler.metrics.counter("engine_calls").value == 1
 
-    def test_deadline_crossed_during_computation(self):
+    def test_deadline_crossed_during_source_read(self):
         scheduler = make_scheduler(
             SchedulerConfig(max_batch=1),
             policy=FaultPolicy(latency=0.03),
@@ -192,18 +200,18 @@ class TestDeadlines:
             return response
 
         response = run(scenario())
+        # The probe deadline is the request's: the slow read is cut there.
         assert response.status is RequestStatus.TIMEOUT
-        assert "during computation" in response.reason
+        assert "during source read" in response.reason
+        assert response.latency < 0.03
         assert response.confidences == {}
 
 
 class TestRetries:
     def test_transient_errors_retried_until_success(self):
         scheduler = make_scheduler(
-            SchedulerConfig(
-                max_attempts=3, backoff_base=0.001, backoff_cap=0.002
-            ),
-            policy=FaultPolicy(error_rate=1.0, error_burst=2, seed=1),
+            retrying(max_attempts=3, backoff_base=0.001, backoff_cap=0.002),
+            policy=FaultPolicy(error_rate=1.0, error_burst=2),
         )
 
         async def scenario():
@@ -219,10 +227,8 @@ class TestRetries:
 
     def test_exhausted_retries_fail_explicitly(self):
         scheduler = make_scheduler(
-            SchedulerConfig(
-                max_attempts=2, backoff_base=0.001, backoff_cap=0.002
-            ),
-            policy=FaultPolicy(error_rate=1.0, seed=1),
+            retrying(max_attempts=2, backoff_base=0.001, backoff_cap=0.002),
+            policy=FaultPolicy(error_rate=1.0),
         )
 
         async def scenario():
@@ -234,10 +240,11 @@ class TestRetries:
         response = run(scenario())
         assert response.status is RequestStatus.ERROR
         assert "injected transient failure" in response.reason
+        assert "'S1' unavailable" in response.reason
         assert scheduler.metrics.counter("responses_error").value == 1
 
     def test_backoff_schedule(self):
-        config = SchedulerConfig(backoff_base=0.01, backoff_cap=0.25)
+        config = ResilienceConfig(backoff_base=0.01, backoff_cap=0.25)
         assert config.backoff(1) == 0.01
         assert config.backoff(2) == 0.02
         assert config.backoff(3) == 0.04
@@ -278,8 +285,25 @@ class TestShutdown:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_queue": 0}, {"max_batch": 0}, {"max_attempts": 0}],
+        [{"max_queue": 0}, {"max_batch": 0}, {"shards": 0}],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SchedulerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_attempts": 0},
+            {"source_timeout": 0},
+            {"backoff_jitter": -1},
+            {"error_threshold": 0},
+            {"error_threshold": 1.5},
+            {"ewma_alpha": 0},
+            {"min_samples": 0},
+            {"cooldown": -1},
+        ],
+    )
+    def test_bad_resilience_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ResilienceConfig(**kwargs)

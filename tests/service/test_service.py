@@ -2,15 +2,18 @@
 
 import asyncio
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from repro.model import fact
 from repro.queries import identity_view
 from repro.sources import SourceDescriptor
 from repro.confidence.engine import ConfidenceEngine, LRUMemo
+from repro.resilience import STRICT
 from repro.service import (
     FaultPolicy,
     MediatorService,
+    PerSourceGateway,
     RequestStatus,
     SchedulerConfig,
 )
@@ -127,15 +130,20 @@ class TestSnapshotIsolation:
 class TestDegradation:
     def test_faulty_service_never_crashes(self):
         async def scenario():
+            gateway = PerSourceGateway(seed=7)
+            gateway.set_policy(
+                "S1", FaultPolicy(latency=0.002, error_rate=0.5)
+            )
             service = MediatorService(
                 make_example51_collection(),
                 DOMAIN,
                 config=SchedulerConfig(
-                    max_attempts=2, backoff_base=0.001, backoff_cap=0.002
+                    resilience=replace(
+                        STRICT,
+                        max_attempts=2, backoff_base=0.001, backoff_cap=0.002,
+                    )
                 ),
-                fault_policy=FaultPolicy(
-                    latency=0.002, error_rate=0.5, seed=7
-                ),
+                gateway=gateway,
             )
             async with service:
                 responses = []
@@ -154,6 +162,37 @@ class TestDegradation:
             else:
                 assert "injected transient failure" in response.reason
 
+    def test_unexpected_exception_answers_the_batch_and_worker_survives(self):
+        """A non-ReproError escaping a batch answers that batch with ERROR
+        naming the exception type; the next request is served normally."""
+
+        async def scenario():
+            service = MediatorService(make_example51_collection(), DOMAIN)
+            compute = service.scheduler._compute
+            calls = []
+
+            def flaky_compute(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise RuntimeError("engine exploded")
+                return compute(*args, **kwargs)
+
+            service.scheduler._compute = flaky_compute
+            async with service:
+                first = await asyncio.wait_for(
+                    service.confidence([R_A], timeout=1.0), 5.0
+                )
+                second = await asyncio.wait_for(
+                    service.confidence([R_A], timeout=1.0), 5.0
+                )
+            return first, second
+
+        first, second = run(scenario())
+        assert first.status is RequestStatus.ERROR
+        assert "RuntimeError" in first.reason
+        assert second.ok
+        assert second.confidences[R_A] == Fraction(4, 7)
+
 
 class TestObservability:
     def test_stats_shape_and_json_round_trip(self):
@@ -161,7 +200,7 @@ class TestObservability:
             async with MediatorService(
                 make_example51_collection(),
                 DOMAIN,
-                fault_policy=FaultPolicy(seed=0),
+                gateway=PerSourceGateway(seed=0),
             ) as service:
                 await service.confidence([R_A])
                 return service.stats(), service.recent_spans()
@@ -169,7 +208,7 @@ class TestObservability:
         stats, spans = run(scenario())
         assert set(stats) == {
             "registry", "metrics", "gateway", "tracing", "plan", "shard",
-            "cache",
+            "cache", "resilience",
         }
         assert "engine.memo" in stats["cache"]["caches"]
         assert {"hits", "misses", "evictions", "bytes", "invalidations"} <= set(
@@ -181,8 +220,12 @@ class TestObservability:
         }
         assert stats["registry"]["version"] == 0
         assert stats["registry"]["sources"] == 2
-        assert stats["gateway"]["reads"] == 1
-        assert stats["gateway"]["errors_injected"] == 0
+        # One probe per source: Example 5.1 has two.
+        assert stats["gateway"]["reads"] == 2
+        assert all(
+            lane["errors_injected"] == 0
+            for lane in stats["gateway"]["lanes"].values()
+        )
         assert stats["metrics"]["counters"]["responses_ok"] == 1
         assert stats["metrics"]["histograms"]["latency"]["count"] == 1
         assert stats["tracing"]["spans_started"] >= 3
@@ -192,6 +235,10 @@ class TestObservability:
 
         names = {s["name"] for s in spans}
         assert {"batch", "source_read", "engine"} <= names
+        (read,) = [s for s in spans if s["name"] == "source_read"]
+        assert read["attributes"]["probed"] == 2
+        assert read["attributes"]["excluded"] == []
+        assert read["attributes"]["retries"] == 0
 
     def test_response_to_dict_is_json_serializable(self):
         async def scenario():
