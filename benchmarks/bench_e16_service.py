@@ -3,10 +3,11 @@
 Two tables:
 
 1. **Micro-batching** — the same request burst served per-request
-   (``max_batch=1``) and micro-batched. Batched dispatch amortizes one
-   engine call over the whole batch, so throughput rises with the batch
-   cap; the memo-off ablation shows the margin without the engine cache
-   hiding the per-call cost.
+   (``max_batch=1``) and micro-batched. Every batch looks its facts up in
+   the snapshot's confidence table, counted once per version, so batching
+   amortizes the per-batch work (the availability pass, bookkeeping) and
+   throughput rises with the batch cap; the memo-off ablation shows that
+   the margin does not rest on the engine cache.
 2. **Fault injection** — the burst under injected source latency,
    transient errors, and tight deadlines, set as the gateway's default
    policy (every source's lane). Degradation must be *graceful*: every
@@ -133,8 +134,8 @@ def test_e16_batching(benchmark, results_dir):
         rows,
         notes=[
             "speedup is against max_batch=1 within the same memo setting",
-            "one engine call serves a whole batch; the memo additionally "
-            "reuses counting tasks across calls",
+            "the confidence table is counted once per snapshot version; "
+            "engine calls count batches that looked facts up in it",
         ],
     )
 

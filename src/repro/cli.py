@@ -667,7 +667,8 @@ def cmd_serve(args) -> int:
     batch = histograms.get("batch_size", {})
     if batch.get("count"):
         print(
-            f"engine calls: {snapshot['metrics']['counters']['engine_calls']}"
+            "engine calls: "
+            f"{snapshot['metrics']['counters'].get('engine_calls', 0)}"
             f"  mean batch {batch['mean']:.2f}  max batch {batch['max']:.0f}"
         )
     print(f"source reads: {snapshot['gateway']['reads']}")

@@ -9,10 +9,8 @@ iteration:
    queueing work that will only time out).
 2. **batch** — the worker takes the oldest request, then lingers up to
    ``batch_window`` collecting more requests pinned to the *same* snapshot
-   version (compatibility criterion), up to ``max_batch``. One engine call
-   serves the whole batch: the counting problems of a batch's facts share
-   the denominator sweep and the memo, so k requests cost far less than k
-   dispatches — E16 measures the margin.
+   version (compatibility criterion), up to ``max_batch``; the batch pays
+   one source read and one pass of the per-batch bookkeeping.
 3. **expire** — requests whose deadline passed while queued are answered
    ``TIMEOUT`` before any work is spent on them; deadlines are re-checked
    after compute so a slow read never converts into a silently late answer.
@@ -25,12 +23,15 @@ iteration:
    default :data:`~repro.resilience.manager.STRICT` preset the batch fails
    with explicit ``ERROR`` responses naming it; a degrading config
    *excludes* it instead.
-5. **compute & resolve** — exact confidences from the snapshot's engine;
-   when sources were excluded, the engine runs over the snapshot with
-   those annotations demoted (``repro.resilience.degrade``) and responses
-   carry ``degraded`` / ``excluded_sources`` / per-answer guarantee
-   metadata; every future resolves with a :class:`ServiceResponse`, never
-   an exception.
+5. **compute & resolve** — exact confidences are looked up in the
+   pinned snapshot's confidence table, counted at most once per
+   (version, exclusion set) and shared by every batch pinned there;
+   query-only batches never touch the engine. When sources were
+   excluded, the table belongs to the snapshot with those annotations
+   demoted (``repro.resilience.degrade``) and responses carry
+   ``degraded`` / ``excluded_sources`` / per-answer guarantee metadata;
+   every future resolves with a :class:`ServiceResponse`, never an
+   exception.
 
 Everything observable lands in the shared :class:`MetricsRegistry` (queue
 depth, batch sizes, per-status latency histograms, retry counts, breaker
@@ -64,11 +65,42 @@ from repro.service.tracing import Tracer
 #: No sources excluded: the well-known key suffix of healthy stores.
 NO_EXCLUSIONS: FrozenSet[str] = frozenset()
 
+#: Per-version stores kept before the oldest is evicted.
+MAX_STORES = 8
+
 
 def _store_key_order(key: Tuple[int, FrozenSet[str]]):
     """Total order for (version, excluded) store keys — frozensets are not
-    orderable, so eviction loops sort by (version, size, sorted names)."""
+    orderable, so eviction sorts by (version, size, sorted names)."""
     return (key[0], len(key[1]), tuple(sorted(key[1])))
+
+
+class VersionStore:
+    """Everything one pinned snapshot derives under one exclusion set.
+
+    ``snapshot`` is the working snapshot: the pinned one, or its twin with
+    the excluded sources' bounds demoted to ⟨0, 0⟩ (same version,
+    re-interned collection). The rest is built lazily, at most once, by
+    :class:`RequestScheduler`: the ``engine`` over it, the engine's
+    confidence ``table`` (never mutated once built), the ``certain_db`` of
+    its confidence-1 facts and the sharded ``executor`` over that.
+    """
+
+    __slots__ = ("snapshot", "engine", "table", "certain_db", "executor")
+
+    def __init__(self, snapshot: RegistrySnapshot):
+        self.snapshot = snapshot
+        self.engine: Optional[ConfidenceEngine] = None
+        self.table: Optional[Dict[Atom, Fraction]] = None
+        self.certain_db: Optional[GlobalDatabase] = None
+        self.executor = None
+
+    def close(self) -> None:
+        """Release the engine's and the executor's worker pools."""
+        if self.engine is not None:
+            self.engine.close()
+        if self.executor is not None:
+            self.executor.close()
 
 
 @dataclass(frozen=True)
@@ -128,13 +160,10 @@ class RequestScheduler:
                                     "asyncio.Future"]] = None
         self._inflight: List = []
         self._worker: Optional[asyncio.Task] = None
-        # Per-version stores, keyed (version, excluded-source frozenset):
-        # a degraded batch computes over the *demoted* snapshot, which is
-        # a different instance than the healthy one at the same version.
-        self._engines: Dict[Tuple[int, FrozenSet[str]], ConfidenceEngine] = {}
-        self._certain_dbs: Dict[Tuple[int, FrozenSet[str]], GlobalDatabase] = {}
-        self._shard_executors: Dict[Tuple[int, FrozenSet[str]], object] = {}
-        self._weakened: Dict[Tuple[int, FrozenSet[str]], RegistrySnapshot] = {}
+        # Keyed (version, excluded-source frozenset): a degraded batch
+        # computes over the *demoted* snapshot, which is a different
+        # instance than the healthy one at the same version.
+        self._stores: Dict[Tuple[int, FrozenSet[str]], VersionStore] = {}
         self.resilience = ResilienceManager(
             self.config.resilience, metrics=self.metrics,
             registry=registry, seed=self.gateway.seed,
@@ -183,14 +212,9 @@ class RequestScheduler:
                     snapshot_version=request.snapshot_version,
                 ),
             )
-        for engine in self._engines.values():
-            engine.close()
-        self._engines.clear()
-        self._certain_dbs.clear()
-        for executor in self._shard_executors.values():
-            executor.close()
-        self._shard_executors.clear()
-        self._weakened.clear()
+        for store in self._stores.values():
+            store.close()
+        self._stores.clear()
 
     # -- admission ---------------------------------------------------------------
 
@@ -420,27 +444,30 @@ class RequestScheduler:
     ) -> Dict[Atom, Fraction]:
         """Exact confidences for every fact the batch asks about.
 
-        With *excluded* non-empty the engine runs over the snapshot with
-        those sources' annotations demoted to ⟨c=0, s=0⟩: their extensions
-        stay in the fact space (confidences of their facts remain
-        well-defined) but their bounds no longer constrain the possible
-        worlds.
+        Facts are looked up in the snapshot's confidence table, renamed to
+        the instance relation; only anonymous or out-of-space facts cost an
+        engine call (one memoized task each). A batch asking for no fact
+        returns ``{}`` without building an engine. With *excluded*
+        non-empty the table is the one of the snapshot with those sources'
+        annotations demoted to ⟨c=0, s=0⟩: their extensions stay in the
+        fact space (confidences of their facts remain well-defined) but
+        their bounds no longer constrain the possible worlds.
         """
-        engine = self._engine_for(snapshot, excluded)
         wanted = {f for request, _s, _f in live for f in request.facts}
-        with span.child("engine", version=snapshot.version, facts=len(wanted)):
+        if not wanted:
+            return {}
+        store = self._store(snapshot, excluded)
+        version = snapshot.version
+        with span.child("engine", version=version, facts=len(wanted)):
             self.metrics.counter("engine_calls").inc()
-            confidences = dict(engine.confidences())
-            instance = engine.instance
+            table = self._table(store)
+            relation = store.engine.instance.relation
+            confidences = {}
             for f in wanted:
-                renamed = Atom(instance.relation, f.args)
-                if renamed in confidences:
-                    confidences.setdefault(f, confidences[renamed])
-                    continue
-                if f in confidences:
-                    continue
-                # Anonymous or out-of-space fact: one (memoized) extra task.
-                confidences[f] = engine.confidence(f)
+                confidence = table.get(Atom(relation, f.args))
+                if confidence is None:
+                    confidence = store.engine.confidence(f)
+                confidences[f] = confidence
         return confidences
 
     def _answer_queries(
@@ -453,9 +480,10 @@ class RequestScheduler:
         possible world, so by monotonicity any conjunctive answer over it is
         certain (cf. ``repro.confidence.answers.certain_answer_lower_bound``).
         The query runs through the compiled-plan pipeline; the certain
-        database is cached per snapshot version, so batch-mates and repeat
-        queries share its scan rows and join indexes. With ``config.shards
-        > 1`` execution scatter-gathers over the version's sharded store.
+        database is kept per (version, exclusion set), so batch-mates and
+        repeat queries share its scan rows and join indexes. With
+        ``config.shards > 1`` execution scatter-gathers over the version's
+        sharded store.
 
         Returns ``(answers, downgraded)`` keyed by request id. With
         *excluded* sources the answers come from the *demoted* snapshot —
@@ -480,14 +508,13 @@ class RequestScheduler:
         from repro.shard import canonical_order, shard_stats
 
         sharded = self.config.shards > 1
-        executor = self._shard_executor(snapshot, excluded) if sharded else None
-        database = (
-            None if sharded else self._certain_database(snapshot, excluded)
-        )
+        store = self._store(snapshot, excluded)
+        executor = self._shard_executor(store) if sharded else None
+        database = None if sharded else self._certain_database(store)
         # The healthy-baseline certain DB, to grade what the demotion cost.
         full_database = (
-            self._certain_database(snapshot, NO_EXCLUSIONS) if excluded
-            else None
+            self._certain_database(self._store(snapshot, NO_EXCLUSIONS))
+            if excluded else None
         )
         with span.child(
             "query_answers", version=snapshot.version, queries=len(queried)
@@ -548,62 +575,61 @@ class RequestScheduler:
         if max_q and max_q != before.get("max_q_error"):
             self.metrics.histogram("plan_q_error").observe(max_q)
 
-    def _working_snapshot(
-        self, snapshot: RegistrySnapshot, excluded: FrozenSet[str]
-    ) -> RegistrySnapshot:
-        """*snapshot*, or its demoted twin when sources are excluded.
-
-        The twin shares the version (callers still see the snapshot they
-        pinned) but carries the collection with excluded sources' bounds
-        weakened to ⟨0, 0⟩; cached per (version, excluded) because
-        demotion re-interns the collection.
-        """
-        if not excluded:
-            return snapshot
-        key = (snapshot.version, excluded)
-        weakened = self._weakened.get(key)
-        if weakened is None:
-            from repro.resilience.degrade import demote
-
-            weakened = RegistrySnapshot(
-                version=snapshot.version,
-                collection=demote(snapshot.collection, excluded),
-                domain=snapshot.domain,
-            )
-            self._weakened[key] = weakened
-            while len(self._weakened) > 16:
-                oldest = min(self._weakened, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._weakened.pop(oldest)
-        return weakened
-
-    def _certain_database(
+    def _store(
         self, snapshot: RegistrySnapshot,
         excluded: FrozenSet[str] = NO_EXCLUSIONS,
-    ) -> GlobalDatabase:
-        """The snapshot's confidence-1 facts as one database (cached)."""
+    ) -> VersionStore:
+        """The (version, excluded) store, made on first use.
+
+        With *excluded* non-empty its working snapshot is the demoted twin:
+        it shares the version (callers still see the snapshot they pinned)
+        but carries the collection with excluded sources' bounds weakened
+        to ⟨0, 0⟩. Beyond :data:`MAX_STORES` the oldest store is evicted
+        and closed.
+        """
         key = (snapshot.version, excluded)
-        database = self._certain_dbs.get(key)
-        if database is None:
-            engine = self._engine_for(snapshot, excluded)
-            database = GlobalDatabase(
-                f for f, confidence in engine.confidences().items()
+        store = self._stores.get(key)
+        if store is None:
+            if excluded:
+                from repro.resilience.degrade import demote
+
+                snapshot = RegistrySnapshot(
+                    version=snapshot.version,
+                    collection=demote(snapshot.collection, excluded),
+                    domain=snapshot.domain,
+                )
+            store = self._stores[key] = VersionStore(snapshot)
+            while len(self._stores) > MAX_STORES:
+                oldest = min(self._stores, key=_store_key_order)
+                if oldest == key:
+                    break
+                self._stores.pop(oldest).close()
+        return store
+
+    def _table(self, store: VersionStore) -> Dict[Atom, Fraction]:
+        """*store*'s confidence table: one ``confidences()`` call, ever."""
+        if store.table is None:
+            if store.engine is None:
+                store.engine = ConfidenceEngine(
+                    store.snapshot.instance(),
+                    workers=self.config.engine_workers,
+                    memo=self.memo,
+                    cache_size=self.config.engine_cache_size,
+                )
+            store.table = store.engine.confidences()
+        return store.table
+
+    def _certain_database(self, store: VersionStore) -> GlobalDatabase:
+        """*store*'s confidence-1 facts as one database, from its table."""
+        if store.certain_db is None:
+            store.certain_db = GlobalDatabase(
+                f for f, confidence in self._table(store).items()
                 if confidence == 1
             )
-            self._certain_dbs[key] = database
-            while len(self._certain_dbs) > 8:
-                oldest = min(self._certain_dbs, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._certain_dbs.pop(oldest)
-        return database
+        return store.certain_db
 
-    def _shard_executor(
-        self, snapshot: RegistrySnapshot,
-        excluded: FrozenSet[str] = NO_EXCLUSIONS,
-    ):
-        """The snapshot's scatter-gather executor (per-version cache).
+    def _shard_executor(self, store: VersionStore):
+        """*store*'s scatter-gather executor.
 
         The sharded store partitions the same certain database the
         single-store path queries, under a spec built from the config's
@@ -612,54 +638,42 @@ class RequestScheduler:
         """
         from repro.shard import PartitionSpec, ShardedDatabase, ShardExecutor
 
-        key = (snapshot.version, excluded)
-        executor = self._shard_executors.get(key)
-        if executor is None:
-            store = ShardedDatabase(
-                self._certain_database(snapshot, excluded),
-                PartitionSpec(self.config.shards),
+        if store.executor is None:
+            store.executor = ShardExecutor(
+                ShardedDatabase(
+                    self._certain_database(store),
+                    PartitionSpec(self.config.shards),
+                ),
+                workers=self.config.shard_workers,
             )
-            executor = ShardExecutor(
-                store, workers=self.config.shard_workers
-            )
-            self._shard_executors[key] = executor
-            while len(self._shard_executors) > 8:
-                oldest = min(self._shard_executors, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._shard_executors.pop(oldest).close()
-        return executor
+        return store.executor
 
     def retire_version_tags(self, before_version: int) -> set:
-        """Pop per-version stores pre-dating *before_version*; return tags.
+        """Close and pop stores pre-dating *before_version*; return tags.
 
-        Certain databases and shard executors of superseded versions will
-        never serve another request, so their per-version slots are freed
-        here — but the *derived artifacts* they seeded (statistics, data
-        sources, partition layouts, fragment tokens) live in the enrolled
-        caches, keyed or tagged by fact set. The returned tag set — each
-        retired certain core plus every fragment a retired sharded store
-        materialized — is what the invalidation bus needs to clear all of
-        them in one :meth:`~repro.cache.CacheRegistry.invalidate_tags`
-        call. Retired sharded stores are counted under
-        ``shard_stores_discarded``.
+        Stores of superseded versions will never serve another request,
+        so they are closed (engine and shard worker pools included) and
+        dropped here — but the *derived artifacts* they seeded
+        (statistics, data sources, partition layouts, fragment tokens) live
+        in the enrolled caches, keyed or tagged by fact set. The returned
+        tag set — each retired certain core plus every fragment a retired
+        sharded store materialized — is what the invalidation bus needs to
+        clear all of them in one
+        :meth:`~repro.cache.CacheRegistry.invalidate_tags` call. Retired
+        sharded stores are counted under ``shard_stores_discarded``.
         """
         tags: set = set()
-        for key in [k for k in self._certain_dbs if k[0] < before_version]:
-            database = self._certain_dbs.pop(key)
-            tags.add(database.core())
         retired = 0
-        for key in [
-            k for k in self._shard_executors if k[0] < before_version
-        ]:
-            executor = self._shard_executors.pop(key)
-            tags.update(executor.sharded.built_fragments())
-            executor.close()
-            retired += 1
+        for key in [k for k in self._stores if k[0] < before_version]:
+            store = self._stores.pop(key)
+            if store.certain_db is not None:
+                tags.add(store.certain_db.core())
+            if store.executor is not None:
+                tags.update(store.executor.sharded.built_fragments())
+                retired += 1
+            store.close()
         if retired:
             self.metrics.counter("shard_stores_discarded").inc(retired)
-        for key in [k for k in self._weakened if k[0] < before_version]:
-            self._weakened.pop(key)
         return tags
 
     def discard_plan_statistics(self, before_version: int) -> int:
@@ -678,27 +692,6 @@ class RequestScheduler:
             self.retire_version_tags(before_version)
         )
         return per_cache.get("plan.statistics", 0)
-
-    def _engine_for(
-        self, snapshot: RegistrySnapshot,
-        excluded: FrozenSet[str] = NO_EXCLUSIONS,
-    ) -> ConfidenceEngine:
-        key = (snapshot.version, excluded)
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = ConfidenceEngine(
-                self._working_snapshot(snapshot, excluded).instance(),
-                workers=self.config.engine_workers,
-                memo=self.memo,
-                cache_size=self.config.engine_cache_size,
-            )
-            self._engines[key] = engine
-            while len(self._engines) > 8:  # superseded versions age out
-                oldest = min(self._engines, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._engines.pop(oldest).close()
-        return engine
 
     # -- resolution --------------------------------------------------------------
 

@@ -195,6 +195,21 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
 
+    def test_serve_with_every_batch_failing(self, collection_file, capsys):
+        """No batch reaches the engine, so ``engine_calls`` never exists."""
+        assert main(
+            [
+                "serve", collection_file,
+                "--domain", "a,b,c,d1", "--requests", "5", "--batch", "4",
+                "--fault-error-rate", "1", "--seed", "1",
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "error: 5" in captured.out
+        assert "engine calls: 0" in captured.out
+
+
 class TestStatsJson:
     def test_stats_emits_machine_readable_line(self, collection_file, capsys):
         import json

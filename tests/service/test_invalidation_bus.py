@@ -17,6 +17,7 @@ import asyncio
 from repro.cache import cache_registry
 from repro.confidence.engine.memo import shared_memo
 from repro.model import fact
+from repro.plan.cache import shared_plan_cache
 from repro.plan.statistics import cached_statistics
 from repro.queries import identity_view, parse_rule
 from repro.service import MediatorService, RequestStatus, SchedulerConfig
@@ -46,6 +47,10 @@ def extra_source():
 class TestSingleDiffClearsEverything:
     def test_one_mutation_retires_all_derived_entries(self):
         registry = cache_registry()
+        # The plan cache is keyed by query, not by fact set: a plan cached
+        # by an earlier test would skip profiling this snapshot's certain
+        # core, so start from a miss to warm every layer below.
+        shared_plan_cache().clear()
 
         async def scenario():
             async with MediatorService(
@@ -57,12 +62,9 @@ class TestSingleDiffClearsEverything:
                 assert response.status is RequestStatus.OK
                 await service.confidence([R_A])
                 old = service.registry.snapshot()
-                core = service.scheduler._certain_dbs[
-                    (old.version, frozenset())
-                ].core()
-                executor = service.scheduler._shard_executors[
-                    (old.version, frozenset())
-                ]
+                store = service.scheduler._stores[(old.version, frozenset())]
+                core = store.certain_db.core()
+                executor = store.executor
                 fragments = executor.sharded.built_fragments()
                 partition_key = (executor.sharded.union_core(),
                                  executor.sharded.spec)
@@ -122,9 +124,9 @@ class TestSingleDiffClearsEverything:
                 # diff retires only the *old* version's entries.
                 second = await service.answer(QUERY)
                 new = service.registry.snapshot()
-                executor = service.scheduler._shard_executors[
+                executor = service.scheduler._stores[
                     (new.version, frozenset())
-                ]
+                ].executor
                 partition_key = (executor.sharded.union_core(),
                                  executor.sharded.spec)
                 assert first.status is second.status is RequestStatus.OK

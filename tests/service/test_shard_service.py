@@ -25,6 +25,14 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+def _executor_keys(scheduler):
+    """The (version, excluded) keys of stores that built a shard executor."""
+    return [
+        key for key, store in scheduler._stores.items()
+        if store.executor is not None
+    ]
+
+
 def answer_with(config):
     scheduler = make_scheduler(config)
 
@@ -64,7 +72,7 @@ class TestShardedQueryPath:
     def test_single_store_config_builds_no_executor(self):
         scheduler, response = answer_with(SchedulerConfig())
         assert response.status is RequestStatus.OK
-        assert scheduler._shard_executors == {}
+        assert _executor_keys(scheduler) == []
 
 
 class TestInvalidation:
@@ -76,13 +84,14 @@ class TestInvalidation:
             response = await (await scheduler.submit([], query=QUERY))
             assert response.status is RequestStatus.OK
             version = scheduler.registry.snapshot().version
-            assert list(scheduler._shard_executors) == [(version, frozenset())]
+            assert _executor_keys(scheduler) == [(version, frozenset())]
             scheduler.discard_plan_statistics(version + 1)
+            assert _executor_keys(scheduler) == []
             await scheduler.stop()
             return version
 
         run(scenario())
-        assert scheduler._shard_executors == {}
+        assert _executor_keys(scheduler) == []
         assert scheduler.metrics.counter("shard_stores_discarded").value == 1
 
     def test_registry_mutation_retires_through_the_service(self):
